@@ -40,16 +40,19 @@ fn build_testbed(p: &Parsed) -> Result<Testbed, Box<dyn std::error::Error>> {
 /// `apples-cli testbed`
 pub fn testbed(p: &Parsed) -> CmdResult {
     let tb = build_testbed(p)?;
-    println!("SDSC/PCL testbed (Figure 2), profile {:?}:", profile_of(p)?);
+    outln!("SDSC/PCL testbed (Figure 2), profile {:?}:", profile_of(p)?);
     for h in tb.topo.hosts() {
         let mean = h.mean_availability(SimTime::ZERO, SimTime::from_secs(100_000));
-        println!(
+        outln!(
             "  {:>14}  {:>5.0} Mflop/s  {:>6.0} MB  mean availability {:.2}",
-            h.spec.name, h.spec.mflops, h.spec.mem_mb, mean
+            h.spec.name,
+            h.spec.mflops,
+            h.spec.mem_mb,
+            mean
         );
     }
     for l in tb.topo.links() {
-        println!(
+        outln!(
             "  {:>18}  {:>6.2} MB/s  {:>5.1} ms",
             l.spec.name,
             l.spec.bandwidth_mbps,
@@ -96,7 +99,7 @@ pub fn schedule(p: &Parsed) -> CmdResult {
     let decision = agent.decide(&pool)?;
     let report = apples::actuator::actuate(&tb.topo, &hat, decision.schedule(), warmup)?;
 
-    println!(
+    outln!(
         "Jacobi2D {n}x{n}, {iterations} iterations — {} candidates considered, {} rejected",
         decision.considered.len(),
         decision.rejected
@@ -104,7 +107,7 @@ pub fn schedule(p: &Parsed) -> CmdResult {
     if let Schedule::Stencil(s) = decision.schedule() {
         for part in &s.parts {
             let h = tb.topo.host(part.host)?;
-            println!(
+            outln!(
                 "  {:>14}: {:>5} rows ({:>5.1}%)",
                 h.spec.name,
                 part.rows,
@@ -112,7 +115,7 @@ pub fn schedule(p: &Parsed) -> CmdResult {
             );
         }
     }
-    println!(
+    outln!(
         "predicted {:.2} s, actuated {:.2} s",
         decision.chosen().predicted_seconds,
         report.elapsed_seconds
@@ -146,10 +149,10 @@ pub fn compare(p: &Parsed) -> CmdResult {
         s.makespan(warmup).as_secs_f64(),
         b.makespan(warmup).as_secs_f64(),
     );
-    println!("Jacobi2D {n}x{n}, {iterations} iterations (one trial):");
-    println!("  AppLeS       {a:>9.2} s");
-    println!("  static Strip {s:>9.2} s   ({:.2}x)", s / a);
-    println!("  HPF Blocked  {b:>9.2} s   ({:.2}x)", b / a);
+    outln!("Jacobi2D {n}x{n}, {iterations} iterations (one trial):");
+    outln!("  AppLeS       {a:>9.2} s");
+    outln!("  static Strip {s:>9.2} s   ({:.2}x)", s / a);
+    outln!("  HPF Blocked  {b:>9.2} s   ({:.2}x)", b / a);
     Ok(())
 }
 
@@ -159,22 +162,29 @@ pub fn forecast(p: &Parsed) -> CmdResult {
     let host = HostId(p.get_parsed("host", 1usize)?);
     let until: u64 = p.get_parsed("until", 3600u64)?;
     let name = &tb.topo.host(host)?.spec.name;
-    println!("NWS tracking {name} for {until} s:");
+    outln!("NWS tracking {name} for {until} s:");
     let mut ws = WeatherService::for_topology(&tb.topo, WeatherServiceConfig::default());
     let key = ResourceKey::Cpu(host);
     let step = (until / 12).max(60);
     let mut t = step;
-    println!(
+    outln!(
         "{:>8}  {:>8}  {:>8}  {:>7}  predictor",
-        "time s", "measured", "forecast", "err"
+        "time s",
+        "measured",
+        "forecast",
+        "err"
     );
     while t <= until {
         let now = SimTime::from_secs(t);
         ws.advance(&tb.topo, now);
         if let (Some(cur), Some(f)) = (ws.current(key), ws.forecast(key)) {
-            println!(
+            outln!(
                 "{:>8}  {:>8.3}  {:>8.3}  {:>7.4}  {}",
-                t, cur, f.value, f.error, f.method
+                t,
+                cur,
+                f.value,
+                f.error,
+                f.method
             );
         }
         t += step;
@@ -191,10 +201,10 @@ pub fn react(p: &Parsed) -> CmdResult {
     const HOUR: f64 = 3600.0;
     let c90 = react3d::single_site_run(&tb, tb.c90)?.as_secs_f64() / HOUR;
     let par = react3d::single_site_run(&tb, tb.paragon)?.as_secs_f64() / HOUR;
-    println!("3D-REACT: single-site C90 {c90:.2} h, Paragon {par:.2} h");
+    outln!("3D-REACT: single-site C90 {c90:.2} h, Paragon {par:.2} h");
     if unit > 0 {
         let run = react3d::distributed_run(&tb, unit, depth)?;
-        println!(
+        outln!(
             "distributed (unit {unit}, depth {depth}): {:.2} h",
             run.makespan(SimTime::ZERO).as_secs_f64() / HOUR
         );
@@ -202,7 +212,7 @@ pub fn react(p: &Parsed) -> CmdResult {
         for (u, secs) in
             react3d::sweep_pipeline_sizes(&tb, &[1, 2, 5, 10, 20, 40, 130, 520], depth)?
         {
-            println!("  unit {u:>4}: {:.2} h", secs / HOUR);
+            outln!("  unit {u:>4}: {:.2} h", secs / HOUR);
         }
     }
     Ok(())
@@ -258,7 +268,7 @@ pub fn nile(p: &Parsed) -> CmdResult {
     };
     let plan = sm.plan_campaign(&pool, &compute, server, compute[0])?;
     let measured = sm.run_campaign(&topo, &hat, &plan, server, compute[0], SimTime::ZERO)?;
-    println!(
+    outln!(
         "{events} events, {runs} run(s): Site Manager chose {} \
          (predicted {:.1} s vs {:.1} s; measured {:.1} s)",
         if plan.skim { "SKIM" } else { "REMOTE" },
@@ -321,13 +331,14 @@ pub fn resched(p: &Parsed) -> CmdResult {
     adaptive.policy.phase_iterations = phase;
     let report = adaptive.run_stencil(&topo, &mut ws2, start)?;
 
-    println!("Jacobi2D {n}x{n}, {iterations} iterations; load regime flips at t = 660 s");
-    println!("one-shot:     {:>8.1} s", one_shot_report.elapsed_seconds);
-    println!(
+    outln!("Jacobi2D {n}x{n}, {iterations} iterations; load regime flips at t = 660 s");
+    outln!("one-shot:     {:>8.1} s", one_shot_report.elapsed_seconds);
+    outln!(
         "rescheduling: {:>8.1} s  ({} migration(s), phase = {phase} iterations)",
-        report.elapsed_seconds, report.migrations
+        report.elapsed_seconds,
+        report.migrations
     );
-    println!(
+    outln!(
         "speedup: {:.2}x",
         one_shot_report.elapsed_seconds / report.elapsed_seconds
     );
@@ -375,18 +386,19 @@ pub fn advise_cmd(p: &Parsed) -> CmdResult {
         &pool,
         &[vec![HostId(0), HostId(1)], vec![HostId(2), HostId(3)]],
     )?;
-    println!(
+    outln!(
         "Jacobi2D {n}x{n} x{iterations}: queue wait {wait:.0} s vs shared pool at {:.0}%",
         avail * 100.0
     );
     for o in &advice.options {
-        println!(
+        outln!(
             "  wait {:>6.0} s -> complete in {:>9.1} s",
-            o.wait_seconds, o.completion_seconds
+            o.wait_seconds,
+            o.completion_seconds
         );
     }
     let chosen = advice.chosen();
-    println!(
+    outln!(
         "recommendation: {}",
         if chosen.wait_seconds > 0.0 {
             "WAIT for the dedicated partition"
@@ -409,12 +421,12 @@ pub fn whatif(p: &Parsed) -> CmdResult {
     let (hat, user) = jacobi_context(n, iterations);
     let menu = standard_menu(&tb.topo);
     let report = evaluate(&tb.topo, &ws, &hat, &user, now, &menu)?;
-    println!(
+    outln!(
         "Jacobi2D {n}x{n} x{iterations}: baseline {:.2} s; top upgrades:",
         report.baseline_seconds
     );
     for r in report.results.iter().take(8) {
-        println!(
+        outln!(
             "  {:>34}: {:>7.2} s ({:.2}x)",
             r.upgrade.describe(&tb.topo),
             r.upgraded_seconds,
@@ -503,7 +515,7 @@ pub fn validate(p: &Parsed) -> CmdResult {
     let (cfg, workload) = grid_setup(p)?;
     let diags = apples_grid::validate_config(&cfg, Some(&workload));
     if diags.is_empty() {
-        println!(
+        outln!(
             "configuration OK: {} profile{}, horizon {}, seed {}",
             p.get("profile", "moderate"),
             if cfg.with_sp2 { " with SP-2 nodes" } else { "" },
@@ -513,7 +525,7 @@ pub fn validate(p: &Parsed) -> CmdResult {
         return Ok(());
     }
     for d in &diags {
-        println!("{d}");
+        outln!("{d}");
     }
     Err(format!("{} configuration issue(s) found", diags.len()).into())
 }
@@ -590,21 +602,21 @@ pub fn grid(p: &Parsed) -> CmdResult {
     };
 
     if p.switch("json") {
-        println!("{}", out.fleet.to_json());
+        outln!("{}", out.fleet.to_json());
         return Ok(());
     }
     if p.switch("csv") {
-        println!("{}", apples_grid::FleetMetrics::csv_header());
-        println!("{}", out.fleet.csv_row(&format!("seed-{seed}")));
-        println!();
-        println!("{}", apples_grid::JobRecord::csv_header());
+        outln!("{}", apples_grid::FleetMetrics::csv_header());
+        outln!("{}", out.fleet.csv_row(&format!("seed-{seed}")));
+        outln!();
+        outln!("{}", apples_grid::JobRecord::csv_header());
         for r in &out.records {
-            println!("{}", r.csv_row());
+            outln!("{}", r.csv_row());
         }
         return Ok(());
     }
 
-    println!(
+    outln!(
         "job stream: Poisson {rate}/s for {duration} s, seed {seed} \
          ({sched} scheduling, {} info, {} in-flight limit)\n",
         if cfg.regime == Regime::Blind {
@@ -619,22 +631,22 @@ pub fn grid(p: &Parsed) -> CmdResult {
         },
     );
     let f = &out.fleet;
-    println!("jobs admitted     {:>10}", f.jobs);
-    println!("jobs completed    {:>10}", f.jobs_completed);
-    println!("jobs failed       {:>10}", f.jobs_failed);
-    println!("jobs rescheduled  {:>10}", f.jobs_rescheduled);
-    println!("total attempts    {:>10}", f.total_attempts);
-    println!("throughput /h     {:>10.2}", f.throughput_per_hour);
-    println!("goodput           {:>10.3}", f.goodput);
-    println!("mean wait s       {:>10.2}", f.mean_wait_seconds);
-    println!("mean exec s       {:>10.2}", f.mean_exec_seconds);
-    println!("mean slowdown     {:>10.3}", f.mean_slowdown);
-    println!("latency p50 s     {:>10.2}", f.latency_p50);
-    println!("latency p95 s     {:>10.2}", f.latency_p95);
-    println!("latency p99 s     {:>10.2}", f.latency_p99);
-    println!("\nper-host demand utilization:");
+    outln!("jobs admitted     {:>10}", f.jobs);
+    outln!("jobs completed    {:>10}", f.jobs_completed);
+    outln!("jobs failed       {:>10}", f.jobs_failed);
+    outln!("jobs rescheduled  {:>10}", f.jobs_rescheduled);
+    outln!("total attempts    {:>10}", f.total_attempts);
+    outln!("throughput /h     {:>10.2}", f.throughput_per_hour);
+    outln!("goodput           {:>10.3}", f.goodput);
+    outln!("mean wait s       {:>10.2}", f.mean_wait_seconds);
+    outln!("mean exec s       {:>10.2}", f.mean_exec_seconds);
+    outln!("mean slowdown     {:>10.3}", f.mean_slowdown);
+    outln!("latency p50 s     {:>10.2}", f.latency_p50);
+    outln!("latency p95 s     {:>10.2}", f.latency_p95);
+    outln!("latency p99 s     {:>10.2}", f.latency_p99);
+    outln!("\nper-host demand utilization:");
     for (name, u) in &f.host_utilization {
-        println!("  {name:>14}  {u:>6.3}");
+        outln!("  {name:>14}  {u:>6.3}");
     }
     Ok(())
 }
@@ -674,7 +686,7 @@ pub fn race(p: &Parsed) -> CmdResult {
         mean_outage_secs,
         max_attempts,
     };
-    println!(
+    outln!(
         "T-RACE: Poisson arrivals at {rate_hz}/s for {duration_secs} s, seed {seed}, \
          crashes {crash_rate}/host-hour\n\
          (every regime faces the same realized stream and fault schedule)\n"
@@ -690,7 +702,7 @@ pub fn race(p: &Parsed) -> CmdResult {
             eprintln!("race [{done}/{legs}] {topo}: {} regime...", regime.name());
         }
     })?;
-    println!("{}", render(&trials));
+    outln!("{}", render(&trials));
     let report_path = p.get("report", "");
     if !report_path.is_empty() {
         std::fs::write(report_path, render_report(&cfg, &trials))
@@ -721,7 +733,7 @@ pub fn trace(args: &[String]) -> i32 {
                 Ok(t) => t,
                 Err(code) => return code,
             };
-            print!("{}", TraceSummary::from_jsonl(&text).render());
+            out!("{}", TraceSummary::from_jsonl(&text).render());
             0
         }
         [sub, a, b] if sub == "diff" => {
@@ -731,13 +743,13 @@ pub fn trace(args: &[String]) -> i32 {
             };
             match first_divergence(&ta, &tb) {
                 None => {
-                    println!("identical: {} events", ta.lines().count());
+                    outln!("identical: {} events", ta.lines().count());
                     0
                 }
                 Some(d) => {
-                    println!("divergence at line {}:", d.line);
-                    println!("  {a}: {}", d.left.as_deref().unwrap_or("<absent>"));
-                    println!("  {b}: {}", d.right.as_deref().unwrap_or("<absent>"));
+                    outln!("divergence at line {}:", d.line);
+                    outln!("  {a}: {}", d.left.as_deref().unwrap_or("<absent>"));
+                    outln!("  {b}: {}", d.right.as_deref().unwrap_or("<absent>"));
                     1
                 }
             }
@@ -795,9 +807,9 @@ pub fn prof(args: &[String]) -> i32 {
     };
     let profile = obsv::Profile::from_jsonl(&text);
     match mode {
-        "folded" => print!("{}", profile.folded()),
-        "gantt" => print!("{}", profile.gantt(width)),
-        "table" => print!("{}", profile.table()),
+        "folded" => out!("{}", profile.folded()),
+        "gantt" => out!("{}", profile.gantt(width)),
+        "table" => out!("{}", profile.table()),
         other => {
             eprintln!("error: unknown mode {other:?} (folded|gantt|table)");
             return 2;
@@ -851,9 +863,9 @@ pub fn spans(args: &[String]) -> i32 {
         eprintln!("note: skipped {} malformed line(s)", tree.skipped_lines);
     }
     match mode {
-        "tree" => print!("{}", tree.render()),
-        "jsonl" => print!("{}", tree.to_jsonl()),
-        "composition" => println!("{}", tree.composition().render()),
+        "tree" => out!("{}", tree.render()),
+        "jsonl" => out!("{}", tree.to_jsonl()),
+        "composition" => outln!("{}", tree.composition().render()),
         other => {
             eprintln!("error: unknown mode {other:?} (tree|jsonl|composition)");
             return 2;
@@ -916,9 +928,9 @@ pub fn timeseries(args: &[String]) -> i32 {
     }
     let series = sink.finalize();
     if jsonl {
-        print!("{}", series.to_jsonl());
+        out!("{}", series.to_jsonl());
     } else {
-        print!("{}", series.render());
+        out!("{}", series.render());
     }
     if skipped > 0 {
         eprintln!("note: skipped {skipped} malformed line(s)");
@@ -946,15 +958,15 @@ pub fn snapshot_diff(args: &[String]) -> i32 {
     };
     let deltas = obsv::snapshot_diff(&ta, &tb);
     if deltas.is_empty() {
-        println!(
+        outln!(
             "identical: {} series",
             obsv::Snapshot::parse(&ta).series.len()
         );
         return 0;
     }
-    println!("{} differing series:", deltas.len());
+    outln!("{} differing series:", deltas.len());
     for d in &deltas {
-        println!("  {}", d.render());
+        outln!("  {}", d.render());
     }
     1
 }
@@ -980,7 +992,7 @@ pub fn metrics(p: &Parsed) -> CmdResult {
     let exposition = sink.registry().expose();
     let out_path = p.get("out", "");
     if out_path.is_empty() {
-        print!("{exposition}");
+        out!("{exposition}");
     } else {
         std::fs::write(out_path, exposition)
             .map_err(|e| format!("cannot write {out_path}: {e}"))?;
@@ -1012,7 +1024,7 @@ pub fn bench(p: &Parsed) -> CmdResult {
         let text =
             std::fs::read_to_string(check).map_err(|e| format!("cannot read {check}: {e}"))?;
         let points = parse_results(&text).map_err(|e| format!("{check}: {e}"))?;
-        println!("{check}: {} valid sweep point(s)", points.len());
+        outln!("{check}: {} valid sweep point(s)", points.len());
         let hist = history_path(check);
         match std::fs::read_to_string(&hist) {
             Ok(htext) => {
@@ -1021,15 +1033,15 @@ pub fn bench(p: &Parsed) -> CmdResult {
                     Some(last) => {
                         let drift = compare_with_history(&points, last)
                             .map_err(|e| format!("{check} vs {hist}: {e}"))?;
-                        println!("vs last of {} history run(s) in {hist}:", runs.len());
+                        outln!("vs last of {} history run(s) in {hist}:", runs.len());
                         for line in drift {
-                            println!("  {line}");
+                            outln!("  {line}");
                         }
                     }
-                    None => println!("{hist}: empty history, nothing to compare"),
+                    None => outln!("{hist}: empty history, nothing to compare"),
                 }
             }
-            Err(_) => println!("{hist}: no history file, nothing to compare"),
+            Err(_) => outln!("{hist}: no history file, nothing to compare"),
         }
         return Ok(());
     }
@@ -1096,9 +1108,9 @@ pub fn bench(p: &Parsed) -> CmdResult {
     points.extend(run_topo_sweep(&topo_sweep, seed)?);
     let doc = to_json(&points);
     if p.switch("json") {
-        print!("{doc}");
+        out!("{doc}");
     } else {
-        print!("{}", to_table(&points));
+        out!("{}", to_table(&points));
     }
     let out = p.get("out", "BENCH_event_engine.json");
     std::fs::write(out, &doc).map_err(|e| format!("cannot write {out}: {e}"))?;

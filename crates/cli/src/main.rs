@@ -12,6 +12,9 @@
 //! apples-cli nile      [--events E] [--runs R] [--seed N]
 //! ```
 
+#[macro_use]
+mod out;
+
 mod args;
 mod commands;
 
@@ -44,7 +47,7 @@ USAGE:
       Rank hypothetical hardware upgrades by this application's speedup.
   apples-cli grid      [--rate R] [--duration SECS] [--seed N] [--profile P]
                        [--regime selfish|batch|fractional] [--topo SPEC]
-                       [--max-in-flight K] [--blind] [--csv] [--json]
+                       [--max-in-flight K] [--blind] [--csv | --json]
                        [--fault-rate C] [--link-fault-rate L] [--mean-outage SECS]
                        [--permanent F] [--max-attempts K] [--backoff SECS]
                        [--trace FILE] [--metrics FILE]
@@ -131,7 +134,7 @@ Profiles: dedicated | light | moderate (default) | heavy
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.is_empty() || raw[0] == "--help" || raw[0] == "help" {
-        print!("{USAGE}");
+        out!("{USAGE}");
         return;
     }
     // `trace`, `prof` and `snapshot-diff` take positional file
@@ -204,6 +207,11 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if parsed.switch("csv") && parsed.switch("json") {
+        eprintln!("error: --csv and --json are mutually exclusive\n");
+        eprint!("{USAGE}");
+        std::process::exit(2);
+    }
     let result = match parsed.command.as_str() {
         "testbed" => commands::testbed(&parsed),
         "schedule" => commands::schedule(&parsed),

@@ -61,7 +61,7 @@ pub fn estimate_stencil(pool: &InfoPool<'_>, sched: &StencilSchedule) -> Result<
         if w[0].host == w[1].host {
             continue;
         }
-        for l in pool.topo.route(w[0].host, w[1].host)? {
+        for l in pool.topo.route_ref(w[0].host, w[1].host)?.iter() {
             *link_flows.entry(l).or_insert(0) += 2; // both directions
         }
     }
@@ -74,7 +74,7 @@ pub fn estimate_stencil(pool: &InfoPool<'_>, sched: &StencilSchedule) -> Result<
             }
             let mut latency = metasim::SimTime::ZERO;
             let mut bw = f64::INFINITY;
-            for l in pool.topo.route(from, to)? {
+            for l in pool.topo.route_ref(from, to)?.iter() {
                 let link = pool.topo.link(l)?;
                 latency += link.spec.latency;
                 let share = *link_flows.get(&l).unwrap_or(&1) as f64;

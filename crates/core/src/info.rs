@@ -19,11 +19,20 @@
 //! * [`ForecastSource::StaticNominal`] — assume dedicated resources,
 //!   which is exactly what the paper's static Strip and Blocked
 //!   partitions assume.
+//!
+//! A pool answers each availability query once: the first
+//! [`InfoPool::cpu_availability`] or [`InfoPool::link_availability`]
+//! call for a resource asks the source, and later calls in the same
+//! decision read a per-pool memo. The memo is keyed on every input the
+//! answer reads — `topo`, `weather`, `source`, `now`, `oracle_window`
+//! and `nws_horizon` — and empties itself when any of those public
+//! fields has been reassigned since the last query.
 
 use crate::hat::Hat;
 use crate::user::UserSpec;
-use metasim::{HostId, SimError, SimTime, Topology};
+use metasim::{HostId, LinkId, SimError, SimTime, Topology};
 use nws::{ResourceKey, WeatherService};
+use std::cell::RefCell;
 
 /// Where the pool's dynamic availability information comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +48,9 @@ pub enum ForecastSource {
 }
 
 /// Shared information context for one scheduling decision.
+///
+/// Pools are built per decision and hold a memo of availability
+/// answers behind a [`RefCell`], so a pool is not `Sync`.
 pub struct InfoPool<'a> {
     /// The system being scheduled onto.
     pub topo: &'a Topology,
@@ -60,6 +72,69 @@ pub struct InfoPool<'a> {
     /// "for the time frame in which the application will be
     /// scheduled"). `None` uses one-step forecasts.
     pub nws_horizon: Option<SimTime>,
+    memo: RefCell<AvailabilityMemo<'a>>,
+}
+
+/// Everything an availability answer depends on. Topology and weather
+/// service are compared by identity: the pool borrows both shared, so
+/// neither can change while it is alive.
+#[derive(Clone, Copy)]
+struct MemoKey<'a> {
+    topo: &'a Topology,
+    weather: Option<&'a WeatherService>,
+    source: ForecastSource,
+    now: SimTime,
+    oracle_window: SimTime,
+    nws_horizon: Option<SimTime>,
+}
+
+impl MemoKey<'_> {
+    fn same(&self, other: &Self) -> bool {
+        let same_weather = match (self.weather, other.weather) {
+            (Some(a), Some(b)) => std::ptr::eq(a, b),
+            (None, None) => true,
+            _ => false,
+        };
+        std::ptr::eq(self.topo, other.topo)
+            && same_weather
+            && self.source == other.source
+            && self.now == other.now
+            && self.oracle_window == other.oracle_window
+            && self.nws_horizon == other.nws_horizon
+    }
+}
+
+/// Availability answers of one pool, indexed by host and link id and
+/// filled on first query.
+#[derive(Default)]
+struct AvailabilityMemo<'a> {
+    key: Option<MemoKey<'a>>,
+    cpu: Vec<Option<f64>>,
+    link: Vec<Option<f64>>,
+}
+
+impl<'a> AvailabilityMemo<'a> {
+    /// The memo slot of `resource` under `key`, first emptying every
+    /// slot if `key` differs from the one the memo was filled under.
+    /// `None` for ids outside the topology, which are never memoized.
+    fn slot(&mut self, key: MemoKey<'a>, resource: ResourceKey) -> Option<&mut Option<f64>> {
+        if !self.key.is_some_and(|k| k.same(&key)) {
+            self.key = Some(key);
+            self.cpu.clear();
+            self.link.clear();
+        }
+        let (table, id, len) = match resource {
+            ResourceKey::Cpu(h) => (&mut self.cpu, h.0, key.topo.hosts().len()),
+            ResourceKey::Link(l) => (&mut self.link, l.0, key.topo.links().len()),
+        };
+        if id >= len {
+            return None;
+        }
+        if table.len() <= id {
+            table.resize(id + 1, None);
+        }
+        Some(&mut table[id])
+    }
 }
 
 impl<'a> InfoPool<'a> {
@@ -80,6 +155,7 @@ impl<'a> InfoPool<'a> {
             now,
             oracle_window: SimTime::from_secs(600),
             nws_horizon: None,
+            memo: RefCell::default(),
         }
     }
 
@@ -99,46 +175,90 @@ impl<'a> InfoPool<'a> {
             now,
             oracle_window: SimTime::from_secs(600),
             nws_horizon: None,
+            memo: RefCell::default(),
+        }
+    }
+
+    /// This pool's information with a different application template.
+    /// The new pool starts with an empty availability memo.
+    pub fn with_hat<'b>(&self, hat: &'b Hat) -> InfoPool<'b>
+    where
+        'a: 'b,
+    {
+        InfoPool {
+            topo: self.topo,
+            weather: self.weather,
+            hat,
+            user: self.user,
+            source: self.source,
+            now: self.now,
+            oracle_window: self.oracle_window,
+            nws_horizon: self.nws_horizon,
+            memo: RefCell::default(),
         }
     }
 
     /// Predicted CPU availability fraction of `host` for the imminent
     /// window. Falls back to `1.0` when no information is available.
     pub fn cpu_availability(&self, host: HostId) -> f64 {
-        self.availability(ResourceKey::Cpu(host), |w| {
-            self.topo
-                .host(host)
-                .map(|h| h.availability().mean(self.now, self.now + w))
-                .unwrap_or(1.0)
-        })
+        self.availability(ResourceKey::Cpu(host))
     }
 
     /// Predicted available-capacity fraction of a link.
-    pub fn link_availability(&self, link: metasim::LinkId) -> f64 {
-        self.availability(ResourceKey::Link(link), |w| {
-            self.topo
-                .link(link)
-                .map(|l| l.availability().mean(self.now, self.now + w))
-                .unwrap_or(1.0)
-        })
+    pub fn link_availability(&self, link: LinkId) -> f64 {
+        self.availability(ResourceKey::Link(link))
     }
 
-    fn availability(&self, key: ResourceKey, oracle: impl Fn(SimTime) -> f64) -> f64 {
+    /// The memoized answer for `resource`, asking the source on a miss.
+    fn availability(&self, resource: ResourceKey) -> f64 {
+        if self.source == ForecastSource::StaticNominal {
+            return 1.0;
+        }
+        let key = MemoKey {
+            topo: self.topo,
+            weather: self.weather,
+            source: self.source,
+            now: self.now,
+            oracle_window: self.oracle_window,
+            nws_horizon: self.nws_horizon,
+        };
+        let mut memo = self.memo.borrow_mut();
+        match memo.slot(key, resource) {
+            Some(Some(v)) => *v,
+            Some(slot) => *slot.insert(self.ask_source(resource)),
+            None => self.ask_source(resource),
+        }
+    }
+
+    fn ask_source(&self, resource: ResourceKey) -> f64 {
         match self.source {
             ForecastSource::StaticNominal => 1.0,
-            ForecastSource::Oracle => oracle(self.oracle_window),
+            ForecastSource::Oracle => {
+                let (from, to) = (self.now, self.now + self.oracle_window);
+                match resource {
+                    ResourceKey::Cpu(h) => self
+                        .topo
+                        .host(h)
+                        .map(|h| h.availability().mean(from, to))
+                        .unwrap_or(1.0),
+                    ResourceKey::Link(l) => self
+                        .topo
+                        .link(l)
+                        .map(|l| l.availability().mean(from, to))
+                        .unwrap_or(1.0),
+                }
+            }
             ForecastSource::LastValue => self
                 .weather
-                .and_then(|w| w.current(key))
+                .and_then(|w| w.current(resource))
                 .unwrap_or(1.0)
                 .clamp(0.0, 1.0),
             ForecastSource::Nws => self
                 .weather
                 .and_then(|w| match self.nws_horizon {
-                    Some(h) => w.forecast_mean_over(key, h),
-                    None => w.forecast(key),
+                    Some(h) => w.forecast_mean_over_value(resource, h),
+                    None => w.forecast_value(resource),
                 })
-                .map(|f| f.value)
                 .unwrap_or(1.0),
         }
     }
@@ -154,9 +274,8 @@ impl<'a> InfoPool<'a> {
     /// Predicted bottleneck bandwidth (MB/s) along the route between
     /// two hosts. Same-host routes report `f64::INFINITY`.
     pub fn route_bandwidth(&self, from: HostId, to: HostId) -> Result<f64, SimError> {
-        let route = self.topo.route(from, to)?;
         let mut bw = f64::INFINITY;
-        for l in route {
+        for l in self.topo.route_ref(from, to)?.iter() {
             let link = self.topo.link(l)?;
             let avail = self.link_availability(l);
             bw = bw.min(link.spec.bandwidth_mbps * avail);

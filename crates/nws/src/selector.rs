@@ -33,6 +33,10 @@ pub struct AdaptiveSelector {
     err: Vec<f64>,
     /// Number of scored postcasts per member.
     scored: Vec<u64>,
+    /// Decayed weight per member, `Σ_{k<scored} ERROR_DECAY^k`: the
+    /// normaliser of [`AdaptiveSelector::best_error`], kept up to date
+    /// in [`AdaptiveSelector::update`] so reading it is O(1).
+    weight: Vec<f64>,
     samples_seen: u64,
 }
 
@@ -60,6 +64,7 @@ impl AdaptiveSelector {
             members,
             err: vec![0.0; n],
             scored: vec![0; n],
+            weight: vec![0.0; n],
             samples_seen: 0,
         }
     }
@@ -70,6 +75,7 @@ impl AdaptiveSelector {
         for (i, m) in self.members.iter().enumerate() {
             if let Some(p) = m.forecast() {
                 self.err[i] = self.err[i] * ERROR_DECAY + (p - value).abs();
+                self.weight[i] += ERROR_DECAY.powi(self.scored[i] as i32);
                 self.scored[i] += 1;
             }
         }
@@ -109,10 +115,7 @@ impl AdaptiveSelector {
                 f64::INFINITY
             } else {
                 // Normalize the decayed sum by its decayed weight.
-                let w: f64 = (0..self.scored[i])
-                    .map(|k| ERROR_DECAY.powi(k as i32))
-                    .sum();
-                self.err[i] / w
+                self.err[i] / self.weight[i]
             }
         })
     }
@@ -129,6 +132,7 @@ impl AdaptiveSelector {
         }
         self.err.iter_mut().for_each(|e| *e = 0.0);
         self.scored.iter_mut().for_each(|s| *s = 0);
+        self.weight.iter_mut().for_each(|w| *w = 0.0);
         self.samples_seen = 0;
     }
 }

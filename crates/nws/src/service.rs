@@ -85,6 +85,42 @@ fn lag1_autocorrelation(values: &[f64]) -> Option<f64> {
     Some(cov / var)
 }
 
+/// The horizon-mean blend of [`WeatherService::forecast_mean_over`]:
+/// `(value, weight)` for a one-step forecast `one_step` over `horizon`,
+/// or `None` when the history is too short or degenerate to blend and
+/// the one-step forecast stands.
+fn blend_toward_mean(history: &TimeSeries, one_step: f64, horizon: SimTime) -> Option<(f64, f64)> {
+    if history.len() < 8 {
+        return None;
+    }
+    let values: Vec<f64> = history.tail(512).iter().map(|&(_, v)| v).collect();
+    let mean = values.iter().sum::<f64>() / values.len() as f64;
+
+    let sample_period = {
+        let pts = history.tail(2);
+        (pts[1].0 - pts[0].0).as_secs_f64()
+    };
+    let h = horizon.as_secs_f64();
+    if h <= 0.0 || sample_period <= 0.0 {
+        return None;
+    }
+
+    let rho = match lag1_autocorrelation(&values) {
+        Some(r) => r.clamp(0.0, 0.999_999),
+        None => 0.0, // degenerate (constant) series: any weight works
+    };
+    // Correlation time from the lag-1 autocorrelation; white noise
+    // (rho -> 0) gives tau -> 0 and the long-run mean wins.
+    let weight = if rho <= 0.0 {
+        0.0
+    } else {
+        let tau = -sample_period / rho.ln();
+        (tau / h) * (1.0 - (-h / tau).exp())
+    };
+    let value = (mean + (one_step - mean) * weight).clamp(0.0, 1.0);
+    Some((value, weight))
+}
+
 /// Monitoring and forecasting for every resource in a topology.
 ///
 /// ```
@@ -215,6 +251,13 @@ impl WeatherService {
         })
     }
 
+    /// [`WeatherService::forecast`]'s value alone, without the error
+    /// and predictor-name provenance — the scheduler's hot-path query.
+    pub fn forecast_value(&self, key: ResourceKey) -> Option<f64> {
+        let m = self.monitored.get(&key)?;
+        Some(m.selector.forecast()?.clamp(0.0, 1.0))
+    }
+
     /// Forecast the *mean* availability of a resource over the next
     /// `horizon` — the §3.2 requirement that predictions cover "the
     /// time frame in which the application will be scheduled".
@@ -235,40 +278,21 @@ impl WeatherService {
     pub fn forecast_mean_over(&self, key: ResourceKey, horizon: SimTime) -> Option<Forecast> {
         let m = self.monitored.get(&key)?;
         let one_step = self.forecast(key)?;
-        let n = m.history.len();
-        if n < 8 {
-            return Some(one_step);
+        match blend_toward_mean(&m.history, one_step.value, horizon) {
+            None => Some(one_step),
+            Some((value, weight)) => Some(Forecast {
+                value,
+                error: one_step.error,
+                method: format!("{} ⊕ mean (w={weight:.2})", one_step.method),
+            }),
         }
-        let values: Vec<f64> = m.history.tail(512).iter().map(|&(_, v)| v).collect();
-        let mean = values.iter().sum::<f64>() / values.len() as f64;
+    }
 
-        let sample_period = {
-            let pts = m.history.tail(2);
-            (pts[1].0 - pts[0].0).as_secs_f64()
-        };
-        let h = horizon.as_secs_f64();
-        if h <= 0.0 || sample_period <= 0.0 {
-            return Some(one_step);
-        }
-
-        let rho = match lag1_autocorrelation(&values) {
-            Some(r) => r.clamp(0.0, 0.999_999),
-            None => 0.0, // degenerate (constant) series: any weight works
-        };
-        // Correlation time from the lag-1 autocorrelation; white noise
-        // (rho -> 0) gives tau -> 0 and the long-run mean wins.
-        let weight = if rho <= 0.0 {
-            0.0
-        } else {
-            let tau = -sample_period / rho.ln();
-            (tau / h) * (1.0 - (-h / tau).exp())
-        };
-        let value = (mean + (one_step.value - mean) * weight).clamp(0.0, 1.0);
-        Some(Forecast {
-            value,
-            error: one_step.error,
-            method: format!("{} ⊕ mean (w={weight:.2})", one_step.method),
-        })
+    /// [`WeatherService::forecast_mean_over`]'s value alone.
+    pub fn forecast_mean_over_value(&self, key: ResourceKey, horizon: SimTime) -> Option<f64> {
+        let m = self.monitored.get(&key)?;
+        let one_step = m.selector.forecast()?.clamp(0.0, 1.0);
+        Some(blend_toward_mean(&m.history, one_step, horizon).map_or(one_step, |(v, _)| v))
     }
 
     /// The most recent measurement of a resource.

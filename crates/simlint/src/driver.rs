@@ -2,6 +2,8 @@
 //! `apples-cli lint`: flag parsing, workspace scan, rendering, exit
 //! code.
 
+use std::fmt::Write as _;
+use std::io::{ErrorKind, Write as _};
 use std::path::Path;
 
 use crate::{Lint, Report};
@@ -47,25 +49,13 @@ pub fn run<I: Iterator<Item = String>>(mut args: I) -> u8 {
                 }
             },
             "--help" | "-h" => {
-                println!("{USAGE}");
-                println!();
-                println!("Lints (see DESIGN.md for the policy table):");
-                for lint in crate::ALL_LINTS {
-                    println!("  {:<20} {}", lint.name(), lint.hint());
-                }
-                println!(
-                    "  {:<20} {}",
-                    Lint::MalformedAllow.name(),
-                    Lint::MalformedAllow.hint()
-                );
-                println!(
-                    "  {:<20} {}",
-                    Lint::StaleAllow.name(),
-                    Lint::StaleAllow.hint()
-                );
-                println!();
-                println!("--deny <lint>: exit 1 if <lint> fired at all, even allowed.");
-                return 0;
+                return match emit(&help_text()) {
+                    Ok(()) => 0,
+                    Err(e) => {
+                        eprintln!("simlint: writing the help text: {e}");
+                        2
+                    }
+                };
             }
             flag if flag.starts_with('-') => {
                 eprintln!("simlint: unknown flag {flag}");
@@ -93,10 +83,14 @@ pub fn run<I: Iterator<Item = String>>(mut args: I) -> u8 {
         }
     }
 
-    match format {
-        Format::Text => print!("{}", report.render_text()),
-        Format::Json => print!("{}", report.render_json()),
-        Format::Github => print!("{}", report.render_github()),
+    let rendered = match format {
+        Format::Text => report.render_text(),
+        Format::Json => report.render_json(),
+        Format::Github => report.render_github(),
+    };
+    if let Err(e) = emit(&rendered) {
+        eprintln!("simlint: writing the report: {e}");
+        return 2;
     }
 
     let denied = report
@@ -111,5 +105,26 @@ pub fn run<I: Iterator<Item = String>>(mut args: I) -> u8 {
         1
     } else {
         0
+    }
+}
+
+/// The `--help` text: usage plus one line per lint.
+fn help_text() -> String {
+    let mut text = format!("{USAGE}\n\nLints (see DESIGN.md for the policy table):\n");
+    let extra = [Lint::MalformedAllow, Lint::StaleAllow];
+    for lint in crate::ALL_LINTS.iter().chain(extra.iter()) {
+        let _ = writeln!(text, "  {:<20} {}", lint.name(), lint.hint());
+    }
+    text.push_str("\n--deny <lint>: exit 1 if <lint> fired at all, even allowed.\n");
+    text
+}
+
+/// Write `text` to stdout. A reader that hung up (EPIPE, as in
+/// `simlint | head`) is not an error: the exit code still reports the
+/// findings.
+fn emit(text: &str) -> std::io::Result<()> {
+    match std::io::stdout().write_all(text.as_bytes()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(e),
+        _ => Ok(()),
     }
 }
