@@ -10,10 +10,11 @@
 //! `--csv` emits one machine-parseable row per trial (plus per-job
 //! rows for single-trial runs); `--json` emits the fleet metrics of
 //! each trial as one JSON object per line. Same seed → same output,
-//! bit for bit. `--trace` re-runs the first trial with a [`WriterSink`]
-//! attached and writes every structured event to FILE as JSONL;
-//! `--metrics` does the same with a [`MetricsSink`] and writes a
-//! Prometheus text-format snapshot.
+//! bit for bit. `--trace` writes every structured event of the first
+//! trial to FILE as JSONL through a [`WriterSink`]; `--metrics` writes
+//! a Prometheus text-format snapshot of it from a [`MetricsSink`]. The
+//! first trial is re-run at most once, whichever of `--trace`,
+//! `--metrics` and single-trial `--csv` ask for it.
 //!
 //! [`WriterSink`]: metasim::simtrace::WriterSink
 //! [`MetricsSink`]: obsv::MetricsSink
@@ -23,7 +24,7 @@ use apples_bench::grid_exp::{
 };
 use apples_grid::metrics::{FleetMetrics, JobRecord};
 use apples_grid::workload::{ArrivalProcess, JobMix, WorkloadConfig};
-use apples_grid::{run, run_with_sink, GridConfig};
+use apples_grid::{GridConfig, GridService, SchedRegime};
 use metasim::simtrace::WriterSink;
 use metasim::SimTime;
 
@@ -73,13 +74,15 @@ fn main() {
     }
 
     let trials = run_trials(&cfg);
-
-    if !trace_path.is_empty() {
-        write_trace(&cfg, &trace_path);
-    }
-    if !metrics_path.is_empty() {
-        write_metrics(&cfg, &metrics_path);
-    }
+    // The sweep keeps only fleet metrics; events and per-job records
+    // come from one re-run of the first trial (determinism makes the
+    // re-run free of surprise).
+    let want_records = csv && !json && cfg.trials == 1;
+    let first_records = if want_records || !trace_path.is_empty() || !metrics_path.is_empty() {
+        rerun_first_trial(&cfg, &trace_path, &metrics_path)
+    } else {
+        Vec::new()
+    };
 
     if json {
         for t in &trials {
@@ -96,7 +99,7 @@ fn main() {
             // Single trial: append the per-job records too.
             println!();
             println!("{}", JobRecord::csv_header());
-            for r in single_trial_records(&cfg) {
+            for r in &first_records {
                 println!("{}", r.csv_row());
             }
         }
@@ -122,13 +125,6 @@ fn parse<T: std::str::FromStr>(s: &str) -> T {
     })
 }
 
-/// Re-run the first trial to get its per-job records (the sweep only
-/// keeps fleet metrics; determinism makes the re-run free of surprise).
-fn single_trial_records(cfg: &GridExpConfig) -> Vec<JobRecord> {
-    let (grid, workload) = first_trial_config(cfg);
-    run(&grid, &workload).expect("grid stream").records
-}
-
 /// The service and workload configuration of the first trial.
 fn first_trial_config(cfg: &GridExpConfig) -> (GridConfig, WorkloadConfig) {
     let grid = GridConfig {
@@ -148,37 +144,50 @@ fn first_trial_config(cfg: &GridExpConfig) -> (GridConfig, WorkloadConfig) {
     (grid, workload)
 }
 
-/// Re-run the first trial with a JSONL sink attached and write the
-/// event stream to `path`.
-fn write_trace(cfg: &GridExpConfig, path: &str) {
+/// Re-run the first trial once, feeding `--trace` (JSONL to
+/// `trace_path`) and `--metrics` (Prometheus exposition to
+/// `metrics_path`) from one fan-out sink; an empty path skips that
+/// output. Returns the trial's per-job records.
+fn rerun_first_trial(cfg: &GridExpConfig, trace_path: &str, metrics_path: &str) -> Vec<JobRecord> {
     let (grid, workload) = first_trial_config(cfg);
-    let file = std::fs::File::create(path).unwrap_or_else(|e| {
-        eprintln!("cannot create {path}: {e}");
-        std::process::exit(2);
+    let mut writer = (!trace_path.is_empty()).then(|| {
+        let file = std::fs::File::create(trace_path).unwrap_or_else(|e| {
+            eprintln!("cannot create {trace_path}: {e}");
+            std::process::exit(2);
+        });
+        WriterSink::new(std::io::BufWriter::new(file))
     });
-    let mut sink = WriterSink::new(std::io::BufWriter::new(file));
-    let result = run_with_sink(&grid, &workload, &mut sink);
-    if let Some(e) = sink.take_error() {
-        eprintln!("writing {path}: {e}");
-        std::process::exit(2);
+    let mut metrics = (!metrics_path.is_empty()).then(obsv::MetricsSink::new);
+    let result = {
+        let mut fan = obsv::FanoutSink::new();
+        if let Some(w) = writer.as_mut() {
+            fan.push(w);
+        }
+        if let Some(m) = metrics.as_mut() {
+            fan.push(m);
+        }
+        GridService::new(grid).and_then(|svc| svc.run(SchedRegime::Selfish, &workload, &mut fan))
+    };
+    if let Some(mut sink) = writer {
+        if let Some(e) = sink.take_error() {
+            eprintln!("writing {trace_path}: {e}");
+            std::process::exit(2);
+        }
+        if let Err(e) = std::io::Write::flush(&mut sink.into_inner()) {
+            eprintln!("flushing {trace_path}: {e}");
+            std::process::exit(2);
+        }
     }
-    if let Err(e) = std::io::Write::flush(&mut sink.into_inner()) {
-        eprintln!("flushing {path}: {e}");
-        std::process::exit(2);
+    let out = result.expect("grid stream");
+    if !trace_path.is_empty() {
+        eprintln!("trace written to {trace_path}");
     }
-    result.expect("grid stream");
-    eprintln!("trace written to {path}");
-}
-
-/// Re-run the first trial with a metrics sink attached and write the
-/// Prometheus exposition to `path`.
-fn write_metrics(cfg: &GridExpConfig, path: &str) {
-    let (grid, workload) = first_trial_config(cfg);
-    let mut sink = obsv::MetricsSink::new();
-    run_with_sink(&grid, &workload, &mut sink).expect("grid stream");
-    if let Err(e) = std::fs::write(path, sink.registry().expose()) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(2);
+    if let Some(sink) = metrics {
+        if let Err(e) = std::fs::write(metrics_path, sink.registry().expose()) {
+            eprintln!("cannot write {metrics_path}: {e}");
+            std::process::exit(2);
+        }
+        eprintln!("metrics written to {metrics_path}");
     }
-    eprintln!("metrics written to {path}");
+    out.records
 }

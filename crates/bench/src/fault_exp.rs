@@ -19,7 +19,8 @@
 use crate::table;
 use apples_grid::metrics::FleetMetrics;
 use apples_grid::workload::{ArrivalProcess, JobMix, RetryPolicy, WorkloadConfig};
-use apples_grid::{run, FaultInjection, GridConfig, Regime};
+use apples_grid::{FaultInjection, GridConfig, GridService, Regime, SchedRegime};
+use metasim::simtrace::NoopSink;
 use metasim::{FaultModel, SimTime};
 
 /// Parameters of the fault sweep.
@@ -96,24 +97,23 @@ pub fn run_fault_sweep(cfg: &FaultExpConfig) -> Vec<FaultTrial> {
                 seed: cfg.seed,
                 retry: RetryPolicy::with_attempts(cfg.max_attempts),
             };
-            let aware = run(
-                &GridConfig {
-                    regime: Regime::Aware,
-                    ..grid.clone()
-                },
-                &workload,
-            )
+            let aware = GridService::new(GridConfig {
+                regime: Regime::Aware,
+                ..grid.clone()
+            })
+            .and_then(|svc| svc.run(SchedRegime::Selfish, &workload, &mut NoopSink))
             .expect("aware stream");
-            let blind = run(
-                &GridConfig {
-                    regime: Regime::Blind,
-                    ..grid.clone()
-                },
-                &WorkloadConfig {
+            let blind = GridService::new(GridConfig {
+                regime: Regime::Blind,
+                ..grid.clone()
+            })
+            .and_then(|svc| {
+                let workload = WorkloadConfig {
                     retry: RetryPolicy::with_attempts(1),
                     ..workload.clone()
-                },
-            )
+                };
+                svc.run(SchedRegime::Selfish, &workload, &mut NoopSink)
+            })
             .expect("blind stream");
             FaultTrial {
                 crash_rate,

@@ -195,16 +195,11 @@ fn reference_execs(
     Ok(refs)
 }
 
-/// Race every regime over every topology in `cfg`.
-pub fn run_race(cfg: &RaceConfig) -> Result<Vec<RaceTrial>, GridError> {
-    run_race_with(cfg, &mut |_, _| {})
-}
-
-/// [`run_race`] with a progress callback, invoked once per
-/// (topology, regime) pair just before that leg starts. A full race
-/// is minutes of wall clock with no output; the CLI points this at
-/// stderr so the user can see which leg is running.
-pub fn run_race_with(
+/// Race every regime over every topology in `cfg`. `progress` is
+/// invoked once per (topology, regime) pair just before that leg
+/// starts; the CLI points it at stderr so the user can see which leg
+/// is running.
+pub fn run_race(
     cfg: &RaceConfig,
     progress: &mut dyn FnMut(&str, SchedRegime),
 ) -> Result<Vec<RaceTrial>, GridError> {
@@ -590,8 +585,8 @@ mod tests {
     #[test]
     fn race_is_deterministic_and_loses_no_jobs() {
         let cfg = tiny();
-        let a = run_race(&cfg).unwrap();
-        let b = run_race(&cfg).unwrap();
+        let a = run_race(&cfg, &mut |_, _| {}).unwrap();
+        let b = run_race(&cfg, &mut |_, _| {}).unwrap();
         assert_eq!(a, b);
         assert_eq!(render(&a), render(&b));
         for t in &a {
@@ -605,7 +600,7 @@ mod tests {
 
     #[test]
     fn only_batch_backfills() {
-        let trials = run_race(&tiny()).unwrap();
+        let trials = run_race(&tiny(), &mut |_, _| {}).unwrap();
         for t in &trials {
             for c in &t.cells {
                 if c.regime != SchedRegime::Batch {
@@ -618,8 +613,8 @@ mod tests {
     #[test]
     fn report_is_deterministic_and_compositions_partition() {
         let cfg = tiny();
-        let a = run_race(&cfg).unwrap();
-        let b = run_race(&cfg).unwrap();
+        let a = run_race(&cfg, &mut |_, _| {}).unwrap();
+        let b = run_race(&cfg, &mut |_, _| {}).unwrap();
         let report = render_report(&cfg, &a);
         assert_eq!(report, render_report(&cfg, &b));
         assert!(report.contains("## Summary"));
@@ -652,7 +647,7 @@ mod tests {
             ..RaceConfig::default()
         };
         let mut legs: Vec<(String, SchedRegime)> = Vec::new();
-        run_race_with(&cfg, &mut |topo, regime| {
+        run_race(&cfg, &mut |topo, regime| {
             legs.push((topo.to_string(), regime));
         })
         .unwrap();
@@ -672,7 +667,7 @@ mod tests {
             crash_rate: 0.0,
             ..RaceConfig::default()
         };
-        let trials = run_race(&cfg).unwrap();
+        let trials = run_race(&cfg, &mut |_, _| {}).unwrap();
         assert_eq!(trials.len(), 1);
         assert_eq!(trials[0].topo, "star:hosts=6");
         assert_eq!(trials[0].cells.len(), 3);

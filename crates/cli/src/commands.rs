@@ -556,50 +556,47 @@ pub fn grid(p: &Parsed) -> CmdResult {
     let cfg = service.config();
     let trace_path = p.get("trace", "");
     let metrics_path = p.get("metrics", "");
-    let out = if trace_path.is_empty() && metrics_path.is_empty() {
-        service.run_regime(sched, &workload)?
+    // Fan the one event stream out to whichever consumers were asked
+    // for: a JSONL writer (--trace) and/or a metrics registry
+    // (--metrics). With neither, the fan-out is disabled and the run
+    // builds no events.
+    let mut writer = if trace_path.is_empty() {
+        None
     } else {
-        // Fan the one event stream out to whichever consumers were
-        // asked for: a JSONL writer (--trace) and/or a metrics
-        // registry (--metrics).
-        let mut writer = if trace_path.is_empty() {
-            None
-        } else {
-            let file = std::fs::File::create(trace_path)
-                .map_err(|e| format!("cannot create {trace_path}: {e}"))?;
-            Some(metasim::simtrace::WriterSink::new(std::io::BufWriter::new(
-                file,
-            )))
-        };
-        let mut metrics = if metrics_path.is_empty() {
-            None
-        } else {
-            Some(obsv::MetricsSink::new())
-        };
-        let out = {
-            let mut fan = obsv::FanoutSink::new();
-            if let Some(w) = writer.as_mut() {
-                fan.push(w);
-            }
-            if let Some(m) = metrics.as_mut() {
-                fan.push(m);
-            }
-            service.run_regime_with_sink(sched, &workload, &mut fan)
-        };
-        if let Some(mut sink) = writer {
-            if let Some(e) = sink.take_error() {
-                return Err(format!("writing {trace_path}: {e}").into());
-            }
-            sink.into_inner()
-                .into_inner()
-                .map_err(|e| format!("flushing {trace_path}: {e}"))?;
-        }
-        if let Some(sink) = metrics {
-            std::fs::write(metrics_path, sink.registry().expose())
-                .map_err(|e| format!("cannot write {metrics_path}: {e}"))?;
-        }
-        out?
+        let file = std::fs::File::create(trace_path)
+            .map_err(|e| format!("cannot create {trace_path}: {e}"))?;
+        Some(metasim::simtrace::WriterSink::new(std::io::BufWriter::new(
+            file,
+        )))
     };
+    let mut metrics = if metrics_path.is_empty() {
+        None
+    } else {
+        Some(obsv::MetricsSink::new())
+    };
+    let out = {
+        let mut fan = obsv::FanoutSink::new();
+        if let Some(w) = writer.as_mut() {
+            fan.push(w);
+        }
+        if let Some(m) = metrics.as_mut() {
+            fan.push(m);
+        }
+        service.run(sched, &workload, &mut fan)
+    };
+    if let Some(mut sink) = writer {
+        if let Some(e) = sink.take_error() {
+            return Err(format!("writing {trace_path}: {e}").into());
+        }
+        sink.into_inner()
+            .into_inner()
+            .map_err(|e| format!("flushing {trace_path}: {e}"))?;
+    }
+    if let Some(sink) = metrics {
+        std::fs::write(metrics_path, sink.registry().expose())
+            .map_err(|e| format!("cannot write {metrics_path}: {e}"))?;
+    }
+    let out = out?;
 
     if p.switch("json") {
         outln!("{}", out.fleet.to_json());
@@ -655,9 +652,7 @@ pub fn grid(p: &Parsed) -> CmdResult {
 /// AppLeS agents, centralized EASY batch, fractional sharing) on
 /// identical seeded streams across one or more topologies.
 pub fn race(p: &Parsed) -> CmdResult {
-    use apples_bench::regime_race::{
-        render, render_report, run_race_with, split_topo_list, RaceConfig,
-    };
+    use apples_bench::regime_race::{render, render_report, run_race, split_topo_list, RaceConfig};
     let defaults = RaceConfig::default();
     let rate_hz: f64 = p.get_parsed("rate", defaults.rate_hz)?;
     let duration_secs: f64 = p.get_parsed("duration", defaults.duration_secs)?;
@@ -696,7 +691,7 @@ pub fn race(p: &Parsed) -> CmdResult {
     let quiet = p.switch("quiet");
     let legs = cfg.topos.len() * apples_grid::SchedRegime::ALL.len();
     let mut done = 0usize;
-    let trials = run_race_with(&cfg, &mut |topo, regime| {
+    let trials = run_race(&cfg, &mut |topo, regime| {
         done += 1;
         if !quiet {
             eprintln!("race [{done}/{legs}] {topo}: {} regime...", regime.name());
@@ -988,7 +983,7 @@ pub fn metrics(p: &Parsed) -> CmdResult {
     let sched = sched_regime_of(p)?;
     let service = GridService::new(cfg)?;
     let mut sink = obsv::MetricsSink::new();
-    service.run_regime_with_sink(sched, &workload, &mut sink)?;
+    service.run(sched, &workload, &mut sink)?;
     let exposition = sink.registry().expose();
     let out_path = p.get("out", "");
     if out_path.is_empty() {

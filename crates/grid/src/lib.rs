@@ -51,11 +51,11 @@ pub use obsv;
 
 pub use metrics::{percentile, slowdown_of, FleetMetrics, JobRecord};
 pub use sched::{
-    run_batch_with_log, run_fractional_with_log, run_regime, run_regime_jobs_with_sink,
-    run_regime_with_sink, BackfillEntry, BatchLog, FractionalLog, SchedRegime, ShareSample,
+    run_batch_with_log, run_fractional_with_log, run_regime_jobs_with_sink, BackfillEntry,
+    BatchLog, FractionalLog, SchedRegime, ShareSample,
 };
 pub use service::{
-    run, run_jobs, run_jobs_with_retry, run_jobs_with_retry_sink, run_with_sink, validate_config,
-    Diagnostic, FaultInjection, GridConfig, GridError, GridOutcome, GridService, Regime,
+    validate_config, Diagnostic, FaultInjection, GridConfig, GridError, GridOutcome, GridService,
+    Regime,
 };
 pub use workload::{ArrivalProcess, JobKind, JobMix, JobSpec, RetryPolicy, WorkloadConfig};

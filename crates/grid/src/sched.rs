@@ -9,7 +9,7 @@
 //!
 //! * [`SchedRegime::Selfish`] — first-decider-wins AppLeS agents, one
 //!   per job, each optimizing its own completion time against live
-//!   (or blind) forecasts. Exactly [`run_jobs_with_retry_sink`].
+//!   (or blind) forecasts: the stream loop in [`crate::service`].
 //! * [`SchedRegime::Batch`] — a centralized space-shared batch queue:
 //!   FCFS with EASY backfilling. The reservation oracle is the same
 //!   application-level runtime prediction the selfish agents act on
@@ -35,9 +35,12 @@
 //!
 //! All three regimes consume the same `Vec<JobSpec>` (same seed →
 //! same arrivals, same kinds) and the same realized [`FaultSpec`]
-//! (via [`realize_faults`], keyed by the grid seed). Every submitted
-//! job appears exactly once in the outcome records, completed or
-//! failed — no regime may lose or duplicate work. Stretch, slowdown
+//! (keyed by the grid seed): [`run_regime_jobs_with_sink`] and
+//! [`GridService::run`] dispatch every regime through one shared
+//! prologue that applies the faults and orders the jobs, and one
+//! shared epilogue that reduces the records to fleet metrics. Every
+//! submitted job appears exactly once in the outcome records, completed
+//! or failed — no regime may lose or duplicate work. Stretch, slowdown
 //! and goodput comparisons ride on that invariant; the regime-race
 //! bench (`bench::regime_race`) and the property tests below enforce
 //! it.
@@ -55,13 +58,15 @@
 //! loses its progress (no checkpointing across PS restarts).
 //!
 //! [`StepSeries::with_impositions`]: metasim::load::StepSeries::with_impositions
+//! [`FaultSpec`]: metasim::FaultSpec
+//! [`GridService::run`]: crate::GridService::run
 
-use crate::metrics::{slowdown_of, FleetMetrics, JobRecord};
+use crate::metrics::{slowdown_of, JobRecord};
 use crate::service::{
-    build_topology, decide_with_prediction, host_names_of, realize_faults, retryable,
-    run_jobs_with_retry_sink, validate_config, GridConfig, GridError, GridOutcome, GridService,
+    build_topology, decide_with_prediction, host_names_of, outcome, retryable, run_selfish,
+    GridConfig, GridError, GridOutcome, Stream,
 };
-use crate::workload::{JobKind, JobSpec, RetryPolicy, WorkloadConfig};
+use crate::workload::{JobKind, JobSpec, RetryPolicy};
 use apples::actuator::actuate_with_sink;
 use apples::hat::Hat;
 use apples::info::InfoPool;
@@ -69,7 +74,7 @@ use apples::schedule::Schedule;
 use apples::ApplesError;
 use metasim::load::Imposition;
 use metasim::simtrace::{EventSink, NoopSink, TraceEvent};
-use metasim::{apply_faults_with_sink, HostId, SimTime, Topology};
+use metasim::{HostId, SimTime, Topology};
 use simcore::EventQueue;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -121,36 +126,14 @@ impl std::fmt::Display for SchedRegime {
     }
 }
 
-/// Realize `workload` and stream it under `regime`.
-pub fn run_regime(
-    cfg: &GridConfig,
-    regime: SchedRegime,
-    workload: &WorkloadConfig,
-) -> Result<GridOutcome, GridError> {
-    run_regime_with_sink(cfg, regime, workload, &mut NoopSink)
-}
-
-/// [`run_regime`], streaming trace events into `sink`.
-pub fn run_regime_with_sink(
-    cfg: &GridConfig,
-    regime: SchedRegime,
-    workload: &WorkloadConfig,
-    sink: &mut dyn EventSink,
-) -> Result<GridOutcome, GridError> {
-    workload.validate()?;
-    run_regime_jobs_with_sink(
-        cfg,
-        regime,
-        &workload.realize(),
-        workload.duration,
-        workload.retry,
-        sink,
-    )
-}
-
-/// Stream an explicit job list under `regime`. The selfish arm is
-/// exactly [`run_jobs_with_retry_sink`]; batch and fractional are the
-/// centralized engines below, over the same realized fault schedule.
+/// Stream an explicit job list (offsets from stream start) under
+/// `regime`. `duration` is the submission-window length used for
+/// throughput and utilization denominators.
+///
+/// This is the one unvalidated entry point: it builds the testbed once
+/// and lends it to the regime's engine; [`crate::GridService::run`] is
+/// the validated one. Its name and signature are pinned because the
+/// repository benchmark (`appbench/`) calls it.
 pub fn run_regime_jobs_with_sink(
     cfg: &GridConfig,
     regime: SchedRegime,
@@ -159,44 +142,33 @@ pub fn run_regime_jobs_with_sink(
     retry: RetryPolicy,
     sink: &mut dyn EventSink,
 ) -> Result<GridOutcome, GridError> {
-    match regime {
-        SchedRegime::Selfish => run_jobs_with_retry_sink(cfg, jobs, duration, retry, sink),
-        SchedRegime::Batch => run_batch_with_log(cfg, jobs, duration, retry, sink).map(|(o, _)| o),
-        SchedRegime::Fractional => {
-            run_fractional_with_log(cfg, jobs, duration, retry, sink).map(|(o, _)| o)
-        }
-    }
+    run_on(
+        cfg,
+        &build_topology(cfg)?,
+        regime,
+        jobs,
+        duration,
+        retry,
+        sink,
+    )
 }
 
-impl GridService {
-    /// Validate `workload` against this service's testbed, then stream
-    /// it under `regime`.
-    pub fn run_regime(
-        &self,
-        regime: SchedRegime,
-        workload: &WorkloadConfig,
-    ) -> Result<GridOutcome, GridError> {
-        self.run_regime_with_sink(regime, workload, &mut NoopSink)
-    }
-
-    /// [`Self::run_regime`], streaming trace events into `sink`.
-    pub fn run_regime_with_sink(
-        &self,
-        regime: SchedRegime,
-        workload: &WorkloadConfig,
-        sink: &mut dyn EventSink,
-    ) -> Result<GridOutcome, GridError> {
-        let diags = validate_config(self.config(), Some(workload));
-        if !diags.is_empty() {
-            return Err(GridError::InvalidConfig(
-                diags
-                    .iter()
-                    .map(|d| d.to_string())
-                    .collect::<Vec<_>>()
-                    .join("; "),
-            ));
-        }
-        run_regime_with_sink(self.config(), regime, workload, sink)
+/// Run the shared prologue over the borrowed `pristine` testbed, then
+/// dispatch to `regime`'s engine.
+pub(crate) fn run_on(
+    cfg: &GridConfig,
+    pristine: &Topology,
+    regime: SchedRegime,
+    jobs: &[JobSpec],
+    duration: SimTime,
+    retry: RetryPolicy,
+    sink: &mut dyn EventSink,
+) -> Result<GridOutcome, GridError> {
+    let stream = Stream::start(cfg, regime, pristine, jobs, duration, retry, sink)?;
+    match regime {
+        SchedRegime::Selfish => run_selfish(cfg, pristine, stream, sink),
+        SchedRegime::Batch => run_batch(cfg, pristine, stream, sink).map(|(o, _)| o),
+        SchedRegime::Fractional => run_fractional(cfg, pristine, stream, sink).map(|(o, _)| o),
     }
 }
 
@@ -301,7 +273,7 @@ struct BatchRun<'a> {
     retry: RetryPolicy,
     duration: SimTime,
     /// Fault-free snapshot used for planning and prediction.
-    pristine: Topology,
+    pristine: &'a Topology,
     /// Live (fault-injected) topology used for actuation.
     topo: Topology,
     states: Vec<BatchState<'a>>,
@@ -323,22 +295,28 @@ pub fn run_batch_with_log(
     retry: RetryPolicy,
     sink: &mut dyn EventSink,
 ) -> Result<(GridOutcome, BatchLog), GridError> {
-    retry.validate()?;
-    if cfg.max_in_flight == 0 {
-        return Err(GridError::InvalidConfig(
-            "max_in_flight must be at least 1".into(),
-        ));
-    }
     let pristine = build_topology(cfg)?;
-    let mut topo = pristine.clone();
-    let fault_spec = realize_faults(cfg, &topo, duration)?;
-    if !fault_spec.is_empty() {
-        apply_faults_with_sink(&mut topo, &fault_spec, sink)?;
-    }
+    let stream = Stream::start(
+        cfg,
+        SchedRegime::Batch,
+        &pristine,
+        jobs,
+        duration,
+        retry,
+        sink,
+    )?;
+    run_batch(cfg, &pristine, stream, sink)
+}
 
-    let mut ordered: Vec<&JobSpec> = jobs.iter().collect();
-    ordered.sort_by_key(|j| (j.submit, j.id));
-    let states: Vec<BatchState<'_>> = ordered
+/// The batch engine over a started stream.
+fn run_batch<'a>(
+    cfg: &'a GridConfig,
+    pristine: &'a Topology,
+    stream: Stream<'a>,
+    sink: &'a mut dyn EventSink,
+) -> Result<(GridOutcome, BatchLog), GridError> {
+    let states: Vec<BatchState<'_>> = stream
+        .jobs
         .iter()
         .map(|j| BatchState {
             spec: j,
@@ -352,10 +330,10 @@ pub fn run_batch_with_log(
 
     let mut run = BatchRun {
         cfg,
-        retry,
-        duration,
+        retry: stream.retry,
+        duration: stream.duration,
         pristine,
-        topo,
+        topo: stream.live,
         states,
         queue: Vec::new(),
         running: Vec::new(),
@@ -382,21 +360,7 @@ impl BatchRun<'_> {
             self.try_start_queued(now)?;
         }
         self.records.sort_by_key(|r| r.id);
-        let host_names: Vec<String> = self
-            .topo
-            .hosts()
-            .iter()
-            .map(|h| h.spec.name.clone())
-            .collect();
-        let fleet =
-            FleetMetrics::from_records(&self.records, self.duration.as_secs_f64(), &host_names);
-        Ok((
-            GridOutcome {
-                records: self.records,
-                fleet,
-            },
-            self.log,
-        ))
+        Ok((outcome(&self.topo, self.records, self.duration), self.log))
     }
 
     fn process_enqueue(&mut self, idx: usize, now: SimTime) -> Result<(), GridError> {
@@ -412,7 +376,7 @@ impl BatchRun<'_> {
             }
         }
         match plan_static(
-            &self.pristine,
+            self.pristine,
             &self.states[idx].spec.kind,
             &self.states[idx].dead_hosts,
             now,
@@ -506,7 +470,7 @@ impl BatchRun<'_> {
                     let mut excluded = self.states[idx].dead_hosts.clone();
                     excluded.extend(busy.iter().copied());
                     plan_static(
-                        &self.pristine,
+                        self.pristine,
                         &self.states[idx].spec.kind,
                         &excluded,
                         now,
@@ -741,7 +705,7 @@ struct FracRun<'a> {
     duration: SimTime,
     /// Fault-free snapshot used for planning and dedicated what-if
     /// actuation.
-    pristine: Topology,
+    pristine: &'a Topology,
     /// Live topology: faults applied up front, realized occupancy
     /// written back at the end.
     live: Topology,
@@ -764,17 +728,28 @@ pub fn run_fractional_with_log(
     retry: RetryPolicy,
     sink: &mut dyn EventSink,
 ) -> Result<(GridOutcome, FractionalLog), GridError> {
-    retry.validate()?;
     let pristine = build_topology(cfg)?;
-    let mut live = pristine.clone();
-    let fault_spec = realize_faults(cfg, &live, duration)?;
-    if !fault_spec.is_empty() {
-        apply_faults_with_sink(&mut live, &fault_spec, sink)?;
-    }
+    let stream = Stream::start(
+        cfg,
+        SchedRegime::Fractional,
+        &pristine,
+        jobs,
+        duration,
+        retry,
+        sink,
+    )?;
+    run_fractional(cfg, &pristine, stream, sink)
+}
 
-    let mut ordered: Vec<&JobSpec> = jobs.iter().collect();
-    ordered.sort_by_key(|j| (j.submit, j.id));
-    let states: Vec<FracState<'_>> = ordered
+/// The fractional engine over a started stream.
+fn run_fractional<'a>(
+    cfg: &'a GridConfig,
+    pristine: &'a Topology,
+    stream: Stream<'a>,
+    sink: &'a mut dyn EventSink,
+) -> Result<(GridOutcome, FractionalLog), GridError> {
+    let states: Vec<FracState<'_>> = stream
+        .jobs
         .iter()
         .map(|j| FracState {
             spec: j,
@@ -787,10 +762,10 @@ pub fn run_fractional_with_log(
 
     let mut run = FracRun {
         cfg,
-        retry,
-        duration,
+        retry: stream.retry,
+        duration: stream.duration,
         pristine,
-        live,
+        live: stream.live,
         states,
         active: Vec::new(),
         down: BTreeSet::new(),
@@ -805,7 +780,7 @@ pub fn run_fractional_with_log(
         run.events
             .schedule((at, EV_FRAC_ENQUEUE), FracEvent::Enqueue { idx });
     }
-    for f in &fault_spec.host_faults {
+    for f in &stream.faults.host_faults {
         run.events
             .schedule((f.at, EV_HOST_DOWN), FracEvent::HostDown(f.host));
         if let Some(r) = f.recover {
@@ -944,7 +919,7 @@ impl FracRun<'_> {
             let st = &self.states[j.idx];
             let exec_seconds = now.saturating_sub(j.start).as_secs_f64();
             let wait_seconds = j.start.saturating_sub(st.submit).as_secs_f64();
-            let hosts = host_names_of(&self.pristine, &j.hosts)?;
+            let hosts = host_names_of(self.pristine, &j.hosts)?;
             if self.sink.enabled() {
                 self.sink.record(TraceEvent::JobCompleted {
                     job: j.id,
@@ -1063,7 +1038,7 @@ impl FracRun<'_> {
         let mut excluded = self.states[idx].dead_hosts.clone();
         excluded.extend(self.down.iter().copied());
         let outcome = plan_static(
-            &self.pristine,
+            self.pristine,
             &self.states[idx].spec.kind,
             &excluded,
             now,
@@ -1073,7 +1048,7 @@ impl FracRun<'_> {
             // What-if actuation on the pristine testbed measures the
             // job's dedicated-equivalent work; the executor events are
             // hypothetical, so they go to a noop sink.
-            actuate_with_sink(&self.pristine, &p.hat, &p.schedule, now, &mut NoopSink)
+            actuate_with_sink(self.pristine, &p.hat, &p.schedule, now, &mut NoopSink)
                 .map(|report| (p, report))
         });
         match outcome {
@@ -1188,19 +1163,8 @@ impl FracRun<'_> {
             }
         }
         self.records.sort_by_key(|r| r.id);
-        let host_names: Vec<String> = self
-            .live
-            .hosts()
-            .iter()
-            .map(|h| h.spec.name.clone())
-            .collect();
-        let fleet =
-            FleetMetrics::from_records(&self.records, self.duration.as_secs_f64(), &host_names);
         Ok((
-            GridOutcome {
-                records: self.records,
-                fleet,
-            },
+            outcome(&self.live, self.records, self.duration),
             FractionalLog {
                 samples: self.samples,
             },
@@ -1211,7 +1175,8 @@ impl FracRun<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{ArrivalProcess, JobMix};
+    use crate::workload::{ArrivalProcess, JobMix, WorkloadConfig};
+    use crate::GridService;
     use metasim::{FaultSpec, HostFault};
 
     fn small_workload(seed: u64) -> WorkloadConfig {
@@ -1246,7 +1211,9 @@ mod tests {
         let jobs = w.realize();
         let ids: Vec<usize> = jobs.iter().map(|j| j.id).collect();
         for regime in SchedRegime::ALL {
-            let out = run_regime(&cfg, regime, &w).unwrap();
+            let out = GridService::new(cfg.clone())
+                .and_then(|svc| svc.run(regime, &w, &mut NoopSink))
+                .unwrap();
             let mut got: Vec<usize> = out.records.iter().map(|r| r.id).collect();
             got.sort_unstable();
             let mut want = ids.clone();
@@ -1260,8 +1227,12 @@ mod tests {
         let cfg = cfg();
         let w = small_workload(7);
         for regime in SchedRegime::ALL {
-            let a = run_regime(&cfg, regime, &w).unwrap();
-            let b = run_regime(&cfg, regime, &w).unwrap();
+            let a = GridService::new(cfg.clone())
+                .and_then(|svc| svc.run(regime, &w, &mut NoopSink))
+                .unwrap();
+            let b = GridService::new(cfg.clone())
+                .and_then(|svc| svc.run(regime, &w, &mut NoopSink))
+                .unwrap();
             assert_eq!(a.records, b.records, "regime {regime} not deterministic");
             assert_eq!(a.fleet, b.fleet);
         }
@@ -1377,7 +1348,9 @@ mod tests {
         };
         let jobs = w.realize();
         for regime in SchedRegime::ALL {
-            let out = run_regime(&cfg, regime, &w).unwrap();
+            let out = GridService::new(cfg.clone())
+                .and_then(|svc| svc.run(regime, &w, &mut NoopSink))
+                .unwrap();
             assert_eq!(
                 out.records.len(),
                 jobs.len(),
@@ -1391,7 +1364,7 @@ mod tests {
         let svc = GridService::new(cfg()).unwrap();
         let w = small_workload(3);
         for regime in SchedRegime::ALL {
-            let out = svc.run_regime(regime, &w).unwrap();
+            let out = svc.run(regime, &w, &mut NoopSink).unwrap();
             assert!(!out.records.is_empty());
         }
     }

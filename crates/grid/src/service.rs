@@ -49,6 +49,7 @@
 //! their attempts are recorded with `completed = false`, never dropped.
 
 use crate::metrics::{slowdown_of, FleetMetrics, JobRecord};
+use crate::sched::SchedRegime;
 use crate::workload::{JobKind, JobSpec, RetryPolicy, WorkloadConfig};
 use apples::actuator::{actuate_with_sink, ActuationDetail, ActuationReport};
 use apples::hat::Hat;
@@ -58,7 +59,7 @@ use apples::schedule::Schedule;
 use apples::{ApplesError, Coordinator};
 use apples_apps::nile::plan_farm;
 use metasim::load::Imposition;
-use metasim::simtrace::{EventSink, NoopSink, TraceEvent};
+use metasim::simtrace::{EventSink, TraceEvent};
 use metasim::testbed::{pcl_sdsc, LoadProfile, TestbedConfig};
 use metasim::topogen::{self, TopoGenConfig, TopoSpec};
 use metasim::{apply_faults_with_sink, FaultModel, FaultSpec, SimError};
@@ -197,42 +198,6 @@ pub struct GridOutcome {
     pub fleet: FleetMetrics,
 }
 
-/// Realize `workload` and stream it through the service under the
-/// workload's retry policy.
-pub fn run(cfg: &GridConfig, workload: &WorkloadConfig) -> Result<GridOutcome, GridError> {
-    run_with_sink(cfg, workload, &mut NoopSink)
-}
-
-/// [`run`], streaming every job's lifecycle (submit → dispatch → retry
-/// → complete/fail), the agents' decisions, forecasts, faults, imposed
-/// load, and executor events into `sink`.
-pub fn run_with_sink(
-    cfg: &GridConfig,
-    workload: &WorkloadConfig,
-    sink: &mut dyn EventSink,
-) -> Result<GridOutcome, GridError> {
-    workload.validate()?;
-    run_jobs_with_retry_sink(
-        cfg,
-        &workload.realize(),
-        workload.duration,
-        workload.retry,
-        sink,
-    )
-}
-
-/// Stream an explicit job list (offsets from stream start) through the
-/// service with the default (single-attempt) retry policy. `duration`
-/// is the submission-window length used for throughput and utilization
-/// denominators.
-pub fn run_jobs(
-    cfg: &GridConfig,
-    jobs: &[JobSpec],
-    duration: SimTime,
-) -> Result<GridOutcome, GridError> {
-    run_jobs_with_retry(cfg, jobs, duration, RetryPolicy::default())
-}
-
 /// One pre-run diagnostic: a stable machine-readable code plus prose.
 ///
 /// Codes for testbed/fault problems come from
@@ -321,6 +286,16 @@ pub(crate) fn build_topology(cfg: &GridConfig) -> Result<Topology, SimError> {
 /// * `memory-overcommit` — a job kind in the mix cannot fit on the
 ///   testbed's hosts even when spread perfectly.
 pub fn validate_config(cfg: &GridConfig, workload: Option<&WorkloadConfig>) -> Vec<Diagnostic> {
+    let (topo, mut out) = config_diagnostics(cfg);
+    if let (Some(topo), Some(w)) = (&topo, workload) {
+        out.extend(workload_diagnostics(topo, w));
+    }
+    out
+}
+
+/// The service-side half of [`validate_config`]: admission, testbed
+/// and fault diagnostics, plus the testbed when it built.
+fn config_diagnostics(cfg: &GridConfig) -> (Option<Topology>, Vec<Diagnostic>) {
     let mut out = Vec::new();
     let mut push = |code: &str, message: String| {
         out.push(Diagnostic {
@@ -337,7 +312,7 @@ pub fn validate_config(cfg: &GridConfig, workload: Option<&WorkloadConfig>) -> V
         Ok(t) => t,
         Err(e) => {
             push("testbed", format!("testbed failed to build: {e}"));
-            return out;
+            return (None, out);
         }
     };
 
@@ -354,45 +329,57 @@ pub fn validate_config(cfg: &GridConfig, workload: Option<&WorkloadConfig>) -> V
         }
     }
     out.extend(report.issues.iter().map(Diagnostic::from));
+    (Some(topo), out)
+}
 
-    if let Some(w) = workload {
-        if let Err(e) = w.arrivals.validate() {
+/// The workload half of [`validate_config`], checked against an
+/// already-built testbed.
+fn workload_diagnostics(topo: &Topology, w: &WorkloadConfig) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    let knobs = [
+        ("arrivals", w.arrivals.validate()),
+        ("job-mix", w.mix.validate()),
+        ("retry", w.retry.validate()),
+    ];
+    for (code, result) in knobs {
+        if let Err(e) = result {
             out.push(Diagnostic {
-                code: "arrivals".into(),
+                code: code.into(),
                 message: e.to_string(),
             });
         }
-        if let Err(e) = w.mix.validate() {
-            out.push(Diagnostic {
-                code: "job-mix".into(),
-                message: e.to_string(),
-            });
-        }
-        if let Err(e) = w.retry.validate() {
-            out.push(Diagnostic {
-                code: "retry".into(),
-                message: e.to_string(),
-            });
-        }
-        let n_hosts = topo.hosts().len();
-        for (kind, _) in &w.mix.entries {
-            if let Some((what, needed)) = per_host_demand_mb(kind, n_hosts) {
-                if let Some(issue) = metasim::validate::memory_fit(&topo, &what, needed) {
-                    out.push(Diagnostic::from(&issue));
-                }
+    }
+    let n_hosts = topo.hosts().len();
+    for (kind, _) in &w.mix.entries {
+        if let Some((what, needed)) = per_host_demand_mb(kind, n_hosts) {
+            if let Some(issue) = metasim::validate::memory_fit(topo, &what, needed) {
+                out.push(Diagnostic::from(&issue));
             }
         }
     }
-
     out
+}
+
+/// Join every diagnostic into one [`GridError::InvalidConfig`].
+fn invalid_config(diags: &[Diagnostic]) -> GridError {
+    GridError::InvalidConfig(
+        diags
+            .iter()
+            .map(Diagnostic::to_string)
+            .collect::<Vec<_>>()
+            .join("; "),
+    )
 }
 
 /// A validated handle on the simulated grid: construction runs the full
 /// static validation pass and refuses configurations that would panic
-/// or hang a stream mid-run.
+/// or hang a stream mid-run. The pristine testbed that validation built
+/// is kept, and every [`GridService::run`] borrows it instead of
+/// building it again.
 #[derive(Debug, Clone)]
 pub struct GridService {
     cfg: GridConfig,
+    pristine: Topology,
 }
 
 impl GridService {
@@ -400,17 +387,10 @@ impl GridService {
     /// and wrap it. Every diagnostic is reported, joined into one
     /// [`GridError::InvalidConfig`].
     pub fn new(cfg: GridConfig) -> Result<GridService, GridError> {
-        let diags = validate_config(&cfg, None);
-        if !diags.is_empty() {
-            return Err(GridError::InvalidConfig(
-                diags
-                    .iter()
-                    .map(Diagnostic::to_string)
-                    .collect::<Vec<_>>()
-                    .join("; "),
-            ));
+        match config_diagnostics(&cfg) {
+            (Some(pristine), diags) if diags.is_empty() => Ok(GridService { cfg, pristine }),
+            (_, diags) => Err(invalid_config(&diags)),
         }
-        Ok(GridService { cfg })
     }
 
     /// The validated configuration.
@@ -419,53 +399,30 @@ impl GridService {
     }
 
     /// Validate `workload` against this service's testbed (including
-    /// the static memory-fit check), then stream it.
-    pub fn run(&self, workload: &WorkloadConfig) -> Result<GridOutcome, GridError> {
-        let diags = validate_config(&self.cfg, Some(workload));
-        if !diags.is_empty() {
-            return Err(GridError::InvalidConfig(
-                diags
-                    .iter()
-                    .map(Diagnostic::to_string)
-                    .collect::<Vec<_>>()
-                    .join("; "),
-            ));
-        }
-        run(&self.cfg, workload)
-    }
-
-    /// [`Self::run`], streaming trace events into `sink`.
-    pub fn run_with_sink(
+    /// the static memory-fit check), realize it, and stream it under
+    /// `regime`, narrating every job's lifecycle (submit → dispatch →
+    /// retry → complete/fail), the agents' decisions, forecasts,
+    /// faults, imposed load and executor events into `sink`. Pass
+    /// [`metasim::simtrace::NoopSink`] to run untraced.
+    pub fn run(
         &self,
+        regime: SchedRegime,
         workload: &WorkloadConfig,
         sink: &mut dyn EventSink,
     ) -> Result<GridOutcome, GridError> {
-        let diags = validate_config(&self.cfg, Some(workload));
+        let diags = workload_diagnostics(&self.pristine, workload);
         if !diags.is_empty() {
-            return Err(GridError::InvalidConfig(
-                diags
-                    .iter()
-                    .map(Diagnostic::to_string)
-                    .collect::<Vec<_>>()
-                    .join("; "),
-            ));
+            return Err(invalid_config(&diags));
         }
-        run_with_sink(&self.cfg, workload, sink)
-    }
-
-    /// Stream an explicit job list with the default retry policy.
-    pub fn run_jobs(&self, jobs: &[JobSpec], duration: SimTime) -> Result<GridOutcome, GridError> {
-        run_jobs(&self.cfg, jobs, duration)
-    }
-
-    /// Stream an explicit job list under `retry`.
-    pub fn run_jobs_with_retry(
-        &self,
-        jobs: &[JobSpec],
-        duration: SimTime,
-        retry: RetryPolicy,
-    ) -> Result<GridOutcome, GridError> {
-        run_jobs_with_retry(&self.cfg, jobs, duration, retry)
+        crate::sched::run_on(
+            &self.cfg,
+            &self.pristine,
+            regime,
+            &workload.realize(),
+            workload.duration,
+            workload.retry,
+            sink,
+        )
     }
 }
 
@@ -494,66 +451,100 @@ pub(crate) fn retryable(err: &ApplesError) -> Option<(Option<HostId>, Option<Sim
     }
 }
 
-/// Realize the configured fault injection into a concrete schedule over
-/// the submission window (deterministic per `cfg.seed`). Shared by the
-/// selfish stream loop and the centralized regimes in [`crate::sched`]
-/// so every regime faces the exact same faults.
-pub(crate) fn realize_faults(
-    cfg: &GridConfig,
-    topo: &Topology,
-    duration: SimTime,
-) -> Result<FaultSpec, SimError> {
-    match &cfg.faults {
-        FaultInjection::None => Ok(FaultSpec::none()),
-        FaultInjection::Spec(s) => Ok(s.clone()),
-        FaultInjection::Random(m) => m.realize(topo, cfg.warmup, cfg.warmup + duration, cfg.seed),
+/// What every regime engine starts from: the shared run prologue.
+///
+/// [`Stream::start`] gives the selfish loop below and the centralized
+/// engines in [`crate::sched`] the same live testbed, the same realized
+/// fault schedule (keyed by the grid seed) and the same admission
+/// order, so every regime faces the exact same stream.
+pub(crate) struct Stream<'a> {
+    /// A clone of the pristine testbed with the faults applied.
+    pub(crate) live: Topology,
+    /// The fault schedule realized over the submission window.
+    pub(crate) faults: FaultSpec,
+    /// The jobs in admission order, `(submit, id)`.
+    pub(crate) jobs: Vec<&'a JobSpec>,
+    /// Submission-window length: the throughput and utilization
+    /// denominator.
+    pub(crate) duration: SimTime,
+    /// The validated retry policy.
+    pub(crate) retry: RetryPolicy,
+}
+
+impl<'a> Stream<'a> {
+    /// Validate the retry policy (and, except under processor sharing,
+    /// which has no queue, the admission bound), clone the live
+    /// testbed from the borrowed `pristine` one, realize and apply the
+    /// faults, and order the jobs.
+    pub(crate) fn start(
+        cfg: &GridConfig,
+        regime: SchedRegime,
+        pristine: &Topology,
+        jobs: &'a [JobSpec],
+        duration: SimTime,
+        retry: RetryPolicy,
+        sink: &mut dyn EventSink,
+    ) -> Result<Stream<'a>, GridError> {
+        retry.validate()?;
+        if regime != SchedRegime::Fractional && cfg.max_in_flight == 0 {
+            return Err(GridError::InvalidConfig(
+                "max_in_flight must be at least 1".into(),
+            ));
+        }
+        let faults = match &cfg.faults {
+            FaultInjection::None => FaultSpec::none(),
+            FaultInjection::Spec(s) => s.clone(),
+            FaultInjection::Random(m) => {
+                m.realize(pristine, cfg.warmup, cfg.warmup + duration, cfg.seed)?
+            }
+        };
+        let mut live = pristine.clone();
+        if !faults.is_empty() {
+            apply_faults_with_sink(&mut live, &faults, sink)?;
+        }
+        let mut jobs: Vec<&JobSpec> = jobs.iter().collect();
+        jobs.sort_by_key(|j| (j.submit, j.id));
+        Ok(Stream {
+            live,
+            faults,
+            jobs,
+            duration,
+            retry,
+        })
     }
 }
 
-/// Stream an explicit job list through the service under `retry`.
-pub fn run_jobs_with_retry(
-    cfg: &GridConfig,
-    jobs: &[JobSpec],
-    duration: SimTime,
-    retry: RetryPolicy,
-) -> Result<GridOutcome, GridError> {
-    run_jobs_with_retry_sink(cfg, jobs, duration, retry, &mut NoopSink)
+/// The shared run epilogue: reduce `records` to fleet metrics over the
+/// live testbed's hosts.
+pub(crate) fn outcome(live: &Topology, records: Vec<JobRecord>, duration: SimTime) -> GridOutcome {
+    let host_names: Vec<String> = live.hosts().iter().map(|h| h.spec.name.clone()).collect();
+    let fleet = FleetMetrics::from_records(&records, duration.as_secs_f64(), &host_names);
+    GridOutcome { records, fleet }
 }
 
-/// [`run_jobs_with_retry`], streaming trace events into `sink`.
-pub fn run_jobs_with_retry_sink(
+/// The selfish engine: one AppLeS agent per job, first decider wins.
+/// Blind agents decide from `pristine`, which stays fault-free.
+pub(crate) fn run_selfish(
     cfg: &GridConfig,
-    jobs: &[JobSpec],
-    duration: SimTime,
-    retry: RetryPolicy,
+    pristine: &Topology,
+    stream: Stream<'_>,
     sink: &mut dyn EventSink,
 ) -> Result<GridOutcome, GridError> {
-    retry.validate()?;
-    if cfg.max_in_flight == 0 {
-        return Err(GridError::InvalidConfig(
-            "max_in_flight must be at least 1".into(),
-        ));
-    }
-    let pristine = build_topology(cfg)?;
-    let mut topo = pristine.clone();
-
-    // Realize and apply the fault schedule to the live topology. The
-    // `pristine` snapshot used by blind agents stays fault-free.
-    let fault_spec = realize_faults(cfg, &topo, duration)?;
-    if !fault_spec.is_empty() {
-        apply_faults_with_sink(&mut topo, &fault_spec, sink)?;
-    }
-    let faults_on = !fault_spec.is_empty();
-
-    let mut ordered: Vec<&JobSpec> = jobs.iter().collect();
-    ordered.sort_by_key(|j| (j.submit, j.id));
+    let Stream {
+        live: mut topo,
+        faults,
+        jobs: ordered,
+        duration,
+        retry,
+    } = stream;
+    let faults_on = !faults.is_empty();
 
     // Blind agents share one pre-stream snapshot; aware agents share
     // one service advanced in admission order over the live topology.
     let mut blind_ws = None;
     if cfg.regime == Regime::Blind {
-        let mut ws = WeatherService::for_topology(&pristine, WeatherServiceConfig::default());
-        ws.advance(&pristine, cfg.warmup);
+        let mut ws = WeatherService::for_topology(pristine, WeatherServiceConfig::default());
+        ws.advance(pristine, cfg.warmup);
         blind_ws = Some(ws);
     }
     let mut shared_ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
@@ -624,7 +615,7 @@ pub fn run_jobs_with_retry_sink(
             } else {
                 let schedule = match (&blind_ws, cfg.regime) {
                     (Some(ws), Regime::Blind) => {
-                        let pool = InfoPool::with_nws(&pristine, ws, &hat, &user, cfg.warmup);
+                        let pool = InfoPool::with_nws(pristine, ws, &hat, &user, cfg.warmup);
                         decide(&job.kind, &pool, sink)
                     }
                     _ => {
@@ -793,9 +784,7 @@ pub fn run_jobs_with_retry_sink(
         records.push(record);
     }
 
-    let host_names: Vec<String> = topo.hosts().iter().map(|h| h.spec.name.clone()).collect();
-    let fleet = FleetMetrics::from_records(&records, duration.as_secs_f64(), &host_names);
-    Ok(GridOutcome { records, fleet })
+    Ok(outcome(&topo, records, duration))
 }
 
 /// Resolve host ids to their testbed names.
@@ -992,10 +981,29 @@ fn impose_route(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_regime_jobs_with_sink;
     use crate::workload::{ArrivalProcess, JobMix};
+    use metasim::simtrace::NoopSink;
 
     fn s(x: f64) -> SimTime {
         SimTime::from_secs_f64(x)
+    }
+
+    /// Stream `jobs` through the selfish engine, untraced.
+    fn selfish(
+        cfg: &GridConfig,
+        jobs: &[JobSpec],
+        duration: SimTime,
+        retry: RetryPolicy,
+    ) -> Result<GridOutcome, GridError> {
+        run_regime_jobs_with_sink(
+            cfg,
+            SchedRegime::Selfish,
+            jobs,
+            duration,
+            retry,
+            &mut NoopSink,
+        )
     }
 
     fn codes(diags: &[Diagnostic]) -> Vec<&str> {
@@ -1110,7 +1118,10 @@ mod tests {
         assert!(codes(&diags).contains(&"memory-overcommit"), "{diags:?}");
         // And the service refuses to run it.
         let svc = GridService::new(cfg).unwrap();
-        assert!(matches!(svc.run(&w), Err(GridError::InvalidConfig(_))));
+        assert!(matches!(
+            svc.run(SchedRegime::Selfish, &w, &mut NoopSink),
+            Err(GridError::InvalidConfig(_))
+        ));
     }
 
     #[test]
@@ -1157,8 +1168,10 @@ mod tests {
             duration: s(1200.0),
             ..WorkloadConfig::default()
         };
-        let a = run(&cfg, &workload).expect("stream a");
-        let b = run(&cfg, &workload).expect("stream b");
+        let a = selfish(&cfg, &workload.realize(), workload.duration, workload.retry)
+            .expect("stream a");
+        let b = selfish(&cfg, &workload.realize(), workload.duration, workload.retry)
+            .expect("stream b");
         assert_eq!(a.records, b.records);
         assert_eq!(a.fleet, b.fleet);
         assert!(!a.records.is_empty(), "workload produced no jobs");
@@ -1171,14 +1184,15 @@ mod tests {
             ..GridConfig::default()
         };
         let jobs = probe_jobs(6000, 400);
-        let aware = run_jobs(&cfg, &jobs, s(300.0)).expect("aware");
-        let blind = run_jobs(
+        let aware = selfish(&cfg, &jobs, s(300.0), RetryPolicy::default()).expect("aware");
+        let blind = selfish(
             &GridConfig {
                 regime: Regime::Blind,
                 ..cfg.clone()
             },
             &jobs,
             s(300.0),
+            RetryPolicy::default(),
         )
         .expect("blind");
         // The first job decides from identical information either way.
@@ -1225,7 +1239,7 @@ mod tests {
                 },
             })
             .collect();
-        let out = run_jobs(&cfg, &jobs, s(10.0)).expect("bounded stream");
+        let out = selfish(&cfg, &jobs, s(10.0), RetryPolicy::default()).expect("bounded stream");
         // With one slot, each job starts when its predecessor finishes.
         for pair in out.records.windows(2) {
             assert!(pair[1].start >= pair[0].finish);
@@ -1233,7 +1247,13 @@ mod tests {
         assert!(out.records[1].wait_seconds > 0.0);
         assert!(out.records[2].wait_seconds > out.records[1].wait_seconds);
         // Unbounded admission: no waiting.
-        let free = run_jobs(&GridConfig::default(), &jobs, s(10.0)).expect("free stream");
+        let free = selfish(
+            &GridConfig::default(),
+            &jobs,
+            s(10.0),
+            RetryPolicy::default(),
+        )
+        .expect("free stream");
         assert!(free.records.iter().all(|r| r.wait_seconds == 0.0));
     }
 
@@ -1260,7 +1280,7 @@ mod tests {
                 kind: JobKind::NileFarm { events: 10_000 },
             },
         ];
-        let out = run_jobs(&cfg, &jobs, s(60.0)).expect("mixed stream");
+        let out = selfish(&cfg, &jobs, s(60.0), RetryPolicy::default()).expect("mixed stream");
         assert_eq!(out.records.len(), 3);
         for r in &out.records {
             assert!(r.exec_seconds > 0.0, "{} did not run", r.kind);
@@ -1280,7 +1300,7 @@ mod tests {
             ..GridConfig::default()
         };
         assert!(matches!(
-            run_jobs(&cfg, &[], s(10.0)),
+            selfish(&cfg, &[], s(10.0), RetryPolicy::default()),
             Err(GridError::InvalidConfig(_))
         ));
         let bad_retry = crate::workload::RetryPolicy {
@@ -1288,7 +1308,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            run_jobs_with_retry(&GridConfig::default(), &[], s(10.0), bad_retry),
+            selfish(&GridConfig::default(), &[], s(10.0), bad_retry),
             Err(GridError::InvalidConfig(_))
         ));
     }
@@ -1323,12 +1343,12 @@ mod tests {
             faults: FaultInjection::Spec(faults),
             ..GridConfig::default()
         };
-        let blind = run_jobs(&cfg, &jobs, s(60.0)).expect("blind stream");
+        let blind = selfish(&cfg, &jobs, s(60.0), RetryPolicy::default()).expect("blind stream");
         assert_eq!(blind.fleet.jobs_failed, 1, "{:?}", blind.records);
         assert!(!blind.records[0].completed);
         assert_eq!(blind.records[0].exec_seconds, 0.0);
 
-        let retrying = run_jobs_with_retry(
+        let retrying = selfish(
             &GridConfig {
                 regime: Regime::Aware,
                 ..cfg.clone()
@@ -1364,8 +1384,10 @@ mod tests {
             retry: crate::workload::RetryPolicy::with_attempts(3),
             ..WorkloadConfig::default()
         };
-        let a = run(&cfg, &workload).expect("stream a");
-        let b = run(&cfg, &workload).expect("stream b");
+        let a = selfish(&cfg, &workload.realize(), workload.duration, workload.retry)
+            .expect("stream a");
+        let b = selfish(&cfg, &workload.realize(), workload.duration, workload.retry)
+            .expect("stream b");
         assert_eq!(a.records, b.records);
         assert_eq!(a.fleet, b.fleet);
     }
@@ -1390,11 +1412,17 @@ mod tests {
             },
         ];
         let mut sink = VecSink::default();
-        let traced =
-            run_jobs_with_retry_sink(&cfg, &jobs, s(60.0), RetryPolicy::default(), &mut sink)
-                .expect("traced stream");
+        let traced = run_regime_jobs_with_sink(
+            &cfg,
+            SchedRegime::Selfish,
+            &jobs,
+            s(60.0),
+            RetryPolicy::default(),
+            &mut sink,
+        )
+        .expect("traced stream");
         // Tracing must not perturb the simulation.
-        let plain = run_jobs(&cfg, &jobs, s(60.0)).expect("plain stream");
+        let plain = selfish(&cfg, &jobs, s(60.0), RetryPolicy::default()).expect("plain stream");
         assert_eq!(traced.records, plain.records);
 
         let kinds: std::collections::BTreeSet<&str> =

@@ -7,8 +7,10 @@
 //! completion order, keeping sweep output deterministic.
 
 use crate::metrics::FleetMetrics;
-use crate::service::{run, GridConfig, GridError};
+use crate::sched::SchedRegime;
+use crate::service::{GridConfig, GridError, GridService};
 use crate::workload::WorkloadConfig;
+use metasim::simtrace::NoopSink;
 
 /// One trial's summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,7 +22,8 @@ pub struct TrialResult {
 }
 
 /// Run one trial per seed in parallel, seeding both the testbed
-/// realization and the workload from the same value.
+/// realization and the workload from the same value. Each trial runs
+/// the selfish stream through a validated [`GridService`].
 pub fn sweep_seeds(
     cfg: &GridConfig,
     workload: &WorkloadConfig,
@@ -39,10 +42,12 @@ pub fn sweep_seeds(
                     ..workload.clone()
                 };
                 scope.spawn(move |_| {
-                    run(&trial_cfg, &trial_workload).map(|out| TrialResult {
-                        seed,
-                        fleet: out.fleet,
-                    })
+                    GridService::new(trial_cfg)?
+                        .run(SchedRegime::Selfish, &trial_workload, &mut NoopSink)
+                        .map(|out| TrialResult {
+                            seed,
+                            fleet: out.fleet,
+                        })
                 })
             })
             .collect();

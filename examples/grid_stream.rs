@@ -9,7 +9,8 @@
 //! ```
 
 use apples_grid::workload::{ArrivalProcess, JobMix, WorkloadConfig};
-use apples_grid::{run, GridConfig, Regime};
+use apples_grid::{GridConfig, GridService, Regime, SchedRegime};
+use metasim::simtrace::NoopSink;
 use metasim::SimTime;
 
 fn main() {
@@ -30,7 +31,9 @@ fn main() {
             regime,
             ..GridConfig::default()
         };
-        let out = run(&cfg, &workload).expect("job stream");
+        let out = GridService::new(cfg)
+            .and_then(|svc| svc.run(SchedRegime::Selfish, &workload, &mut NoopSink))
+            .expect("job stream");
         let f = &out.fleet;
         println!(
             "{:?}: {} jobs, mean exec {:.1} s, p95 latency {:.1} s",

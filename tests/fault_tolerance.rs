@@ -7,7 +7,10 @@
 use apples_grid::workload::{
     ArrivalProcess, JobKind, JobMix, JobSpec, RetryPolicy, WorkloadConfig,
 };
-use apples_grid::{run, run_jobs, run_jobs_with_retry, FaultInjection, GridConfig, Regime};
+use apples_grid::{
+    run_regime_jobs_with_sink, FaultInjection, GridConfig, GridService, Regime, SchedRegime,
+};
+use metasim::simtrace::NoopSink;
 use metasim::{FaultModel, FaultSpec, HostFault, HostId, SimTime};
 use proptest::prelude::*;
 
@@ -70,8 +73,13 @@ fn seeded_fault_stream_replays_bit_identically() {
         seed: 11,
         retry: RetryPolicy::with_attempts(3),
     };
-    let a = run(&cfg, &workload).expect("first faulted stream");
-    let b = run(&cfg, &workload).expect("second faulted stream");
+    let svc = GridService::new(cfg).expect("valid config");
+    let a = svc
+        .run(SchedRegime::Selfish, &workload, &mut NoopSink)
+        .expect("first faulted stream");
+    let b = svc
+        .run(SchedRegime::Selfish, &workload, &mut NoopSink)
+        .expect("second faulted stream");
     assert!(a.fleet.jobs > 0, "stream should admit jobs");
     assert_eq!(a.records, b.records);
     assert_eq!(a.fleet, b.fleet);
@@ -98,14 +106,16 @@ fn a_fully_dead_testbed_fails_every_job_and_terminates() {
         ..GridConfig::default()
     };
     for regime in [Regime::Aware, Regime::Blind] {
-        let out = run_jobs_with_retry(
+        let out = run_regime_jobs_with_sink(
             &GridConfig {
                 regime,
                 ..cfg.clone()
             },
+            SchedRegime::Selfish,
             &jobs,
             s(300.0),
             RetryPolicy::with_attempts(3),
+            &mut NoopSink,
         )
         .expect("stream must terminate, not hang");
         assert_eq!(out.records.len(), jobs.len(), "{regime:?} dropped jobs");
@@ -141,25 +151,30 @@ fn aware_rescheduling_completes_more_than_blind_under_faults() {
     let faults = all_hosts_down(615.0, Some(800.0));
     let duration = s(120.0);
 
-    let blind = run_jobs(
+    let blind = run_regime_jobs_with_sink(
         &GridConfig {
             regime: Regime::Blind,
             faults: FaultInjection::Spec(faults.clone()),
             ..GridConfig::default()
         },
+        SchedRegime::Selfish,
         &jobs,
         duration,
+        RetryPolicy::default(),
+        &mut NoopSink,
     )
     .expect("blind stream");
-    let aware = run_jobs_with_retry(
+    let aware = run_regime_jobs_with_sink(
         &GridConfig {
             regime: Regime::Aware,
             faults: FaultInjection::Spec(faults),
             ..GridConfig::default()
         },
+        SchedRegime::Selfish,
         &jobs,
         duration,
         RetryPolicy::with_attempts(4),
+        &mut NoopSink,
     )
     .expect("aware stream");
 

@@ -4,10 +4,10 @@
 //! `trace diff` machinery must report zero divergence on such a pair.
 
 use apples_grid::workload::{ArrivalProcess, JobMix, WorkloadConfig};
-use apples_grid::{run, run_with_sink, GridConfig};
+use apples_grid::{GridConfig, GridService, SchedRegime};
 use metasim::simtrace::{
     decision_latency_seconds, first_divergence, host_busy_seconds, host_utilization_timeline,
-    queue_depth_timeline, TraceEvent, TraceSummary, VecSink, WriterSink,
+    queue_depth_timeline, NoopSink, TraceEvent, TraceSummary, VecSink, WriterSink,
 };
 use metasim::{HostId, SimTime};
 
@@ -28,7 +28,9 @@ fn workload() -> WorkloadConfig {
 /// Run the stream with a JSONL sink and return the bytes written.
 fn traced_jsonl() -> String {
     let mut sink = WriterSink::new(Vec::new());
-    run_with_sink(&GridConfig::default(), &workload(), &mut sink).expect("traced stream");
+    GridService::new(GridConfig::default())
+        .and_then(|svc| svc.run(SchedRegime::Selfish, &workload(), &mut sink))
+        .expect("traced stream");
     assert!(sink.take_error().is_none());
     String::from_utf8(sink.into_inner()).expect("JSONL is UTF-8")
 }
@@ -70,9 +72,13 @@ fn trace_diff_pinpoints_the_first_divergence() {
 #[test]
 fn traced_grid_run_spans_the_stack_and_matches_untraced() {
     let mut sink = VecSink::new();
-    let traced =
-        run_with_sink(&GridConfig::default(), &workload(), &mut sink).expect("traced stream");
-    let plain = run(&GridConfig::default(), &workload()).expect("plain stream");
+    let svc = GridService::new(GridConfig::default()).expect("valid config");
+    let traced = svc
+        .run(SchedRegime::Selfish, &workload(), &mut sink)
+        .expect("traced stream");
+    let plain = svc
+        .run(SchedRegime::Selfish, &workload(), &mut NoopSink)
+        .expect("plain stream");
     assert_eq!(
         traced.records, plain.records,
         "attaching a sink must not perturb the simulation"
@@ -176,7 +182,9 @@ fn derived_timelines_match_hand_computed_values() {
 #[test]
 fn derived_timelines_are_consistent_on_a_real_trace() {
     let mut sink = VecSink::new();
-    run_with_sink(&GridConfig::default(), &workload(), &mut sink).expect("traced stream");
+    GridService::new(GridConfig::default())
+        .and_then(|svc| svc.run(SchedRegime::Selfish, &workload(), &mut sink))
+        .expect("traced stream");
     let events = &sink.events;
 
     // Busy seconds and the utilization timeline are two renderings of
