@@ -19,7 +19,7 @@
 use crate::table;
 use apples_grid::metrics::FleetMetrics;
 use apples_grid::workload::{ArrivalProcess, JobMix, RetryPolicy, WorkloadConfig};
-use apples_grid::{FaultInjection, GridConfig, GridService, Regime, SchedRegime};
+use apples_grid::{FaultInjection, GridConfig, GridError, GridService, Regime, SchedRegime};
 use metasim::simtrace::NoopSink;
 use metasim::{FaultModel, SimTime};
 
@@ -69,7 +69,7 @@ pub struct FaultTrial {
 }
 
 /// Stream the same workload through both regimes at each crash rate.
-pub fn run_fault_sweep(cfg: &FaultExpConfig) -> Vec<FaultTrial> {
+pub fn run_fault_sweep(cfg: &FaultExpConfig) -> Result<Vec<FaultTrial>, GridError> {
     cfg.crash_rates
         .iter()
         .map(|&crash_rate| {
@@ -101,8 +101,7 @@ pub fn run_fault_sweep(cfg: &FaultExpConfig) -> Vec<FaultTrial> {
                 regime: Regime::Aware,
                 ..grid.clone()
             })
-            .and_then(|svc| svc.run(SchedRegime::Selfish, &workload, &mut NoopSink))
-            .expect("aware stream");
+            .and_then(|svc| svc.run(SchedRegime::Selfish, &workload, &mut NoopSink))?;
             let blind = GridService::new(GridConfig {
                 regime: Regime::Blind,
                 ..grid.clone()
@@ -113,13 +112,12 @@ pub fn run_fault_sweep(cfg: &FaultExpConfig) -> Vec<FaultTrial> {
                     ..workload.clone()
                 };
                 svc.run(SchedRegime::Selfish, &workload, &mut NoopSink)
-            })
-            .expect("blind stream");
-            FaultTrial {
+            })?;
+            Ok(FaultTrial {
                 crash_rate,
                 aware: aware.fleet,
                 blind: blind.fleet,
-            }
+            })
         })
         .collect()
 }
@@ -188,7 +186,7 @@ mod tests {
             crash_rates: vec![3.0],
             ..FaultExpConfig::default()
         };
-        let trials = run_fault_sweep(&cfg);
+        let trials = run_fault_sweep(&cfg).unwrap();
         let t = &trials[0];
         assert_eq!(t.aware.jobs, t.blind.jobs, "same admitted stream");
         assert!(
@@ -211,7 +209,7 @@ mod tests {
             crash_rates: vec![0.0],
             ..FaultExpConfig::default()
         };
-        let t = &run_fault_sweep(&cfg)[0];
+        let t = &run_fault_sweep(&cfg).unwrap()[0];
         assert_eq!(t.aware.jobs_failed, 0, "{:?}", t.aware);
         assert_eq!(t.blind.jobs_failed, 0, "{:?}", t.blind);
     }

@@ -11,12 +11,13 @@
 //! load traces, and rows average over independent trials (seeds).
 
 use apples::info::InfoPool;
+use apples::{ApplesError, StencilSchedule};
 use apples_apps::jacobi2d::partition::jacobi_context;
 use apples_apps::jacobi2d::{apples_stencil_schedule, blocked_uniform, static_strip};
-use metasim::exec::simulate_spmd;
-use metasim::testbed::{pcl_sdsc, LoadProfile, TestbedConfig};
+use metasim::exec::{simulate_spmd, SpmdJob};
+use metasim::testbed::{pcl_sdsc, LoadProfile, Testbed, TestbedConfig};
 use metasim::trace::Stats;
-use metasim::SimTime;
+use metasim::{SimError, SimTime, Topology};
 use nws::{WeatherService, WeatherServiceConfig};
 
 /// Time the Weather Service warms up before the scheduling decision.
@@ -62,41 +63,73 @@ pub struct TrialResult {
     pub apples_fractions: Vec<(String, f64)>,
 }
 
-/// Run one back-to-back trial at grid size `n`.
-pub fn run_trial(n: usize, iterations: usize, seed: u64, profile: LoadProfile) -> TrialResult {
-    let tb = pcl_sdsc(&TestbedConfig {
+/// The non-dedicated Figure 2 testbed (no SP-2) of one trial.
+pub fn testbed(seed: u64, profile: LoadProfile) -> Result<Testbed, SimError> {
+    pcl_sdsc(&TestbedConfig {
         profile,
         horizon: SimTime::from_secs(400_000),
         seed,
         with_sp2: false,
     })
-    .expect("testbed");
+}
+
+/// The three partitions of one Figure 5 trial, lowered to SPMD jobs
+/// that start at [`WARMUP`].
+#[derive(Debug, Clone)]
+pub struct Fig5Jobs {
+    /// The AppLeS strip partition (its fractions are Figure 3).
+    pub apples: StencilSchedule,
+    /// `(strategy, job)` for AppLeS, static Strip and HPF Blocked, in
+    /// that order.
+    pub jobs: [(&'static str, SpmdJob); 3],
+}
+
+impl Fig5Jobs {
+    /// Simulate each job on `topo`; makespans in seconds, in job order.
+    pub fn makespans(&self, topo: &Topology) -> Result<[f64; 3], SimError> {
+        let mut secs = [0.0; 3];
+        for (s, (_, job)) in secs.iter_mut().zip(&self.jobs) {
+            *s = simulate_spmd(topo, job)?.makespan(WARMUP).as_secs_f64();
+        }
+        Ok(secs)
+    }
+}
+
+/// Plan the three Figure 5 partitions of an `n`×`n` Jacobi2D run on
+/// `tb`: AppLeS over NWS forecasts warmed for [`WARMUP`], and the
+/// static non-uniform Strip (Figure 4) and HPF uniform Blocked
+/// partitions over every workstation.
+pub fn jobs(tb: &Testbed, n: usize, iterations: usize) -> Result<Fig5Jobs, ApplesError> {
     let workstations = tb.workstations();
     let (hat, user) = jacobi_context(n, iterations);
+    let t = hat
+        .as_stencil()
+        .ok_or_else(|| ApplesError::Invalid("Jacobi2D HAT is not a stencil".into()))?;
 
     // Warm the Weather Service, then schedule.
     let mut ws = WeatherService::for_topology(&tb.topo, WeatherServiceConfig::default());
     ws.advance(&tb.topo, WARMUP);
-
-    // AppLeS: the full blueprint over NWS forecasts.
     let pool = InfoPool::with_nws(&tb.topo, &ws, &hat, &user, WARMUP);
-    let apples_sched = apples_stencil_schedule(&pool).expect("apples plan");
-    let t = hat.as_stencil().expect("stencil HAT");
-    let apples_out =
-        simulate_spmd(&tb.topo, &apples_sched.to_spmd_job(t, WARMUP)).expect("apples run");
+    let apples = apples_stencil_schedule(&pool)?;
+    let strip = static_strip(&tb.topo, n, iterations, &workstations);
+    let blocked = blocked_uniform(n, iterations, &workstations);
+    Ok(Fig5Jobs {
+        jobs: [
+            ("AppLeS", apples.to_spmd_job(t, WARMUP)),
+            ("static-strip", strip.to_spmd_job(t, WARMUP)),
+            ("hpf-blocked", blocked.to_spmd_job(t, WARMUP)),
+        ],
+        apples,
+    })
+}
 
-    // Static non-uniform strips over every workstation (Figure 4's
-    // compile-time partition).
-    let strip_sched = static_strip(&tb.topo, n, iterations, &workstations);
-    let strip_out =
-        simulate_spmd(&tb.topo, &strip_sched.to_spmd_job(t, WARMUP)).expect("strip run");
-
-    // HPF uniform blocked over every workstation.
-    let blocked_sched = blocked_uniform(n, iterations, &workstations);
-    let blocked_out =
-        simulate_spmd(&tb.topo, &blocked_sched.to_spmd_job(t, WARMUP)).expect("blocked run");
-
-    let apples_fractions = apples_sched
+/// Run one back-to-back trial at grid size `n`.
+pub fn run_trial(n: usize, iterations: usize, seed: u64, profile: LoadProfile) -> TrialResult {
+    let tb = testbed(seed, profile).expect("testbed");
+    let trial = jobs(&tb, n, iterations).expect("figure 5 plans");
+    let [apples_s, strip_s, blocked_s] = trial.makespans(&tb.topo).expect("figure 5 runs");
+    let apples_fractions = trial
+        .apples
         .parts
         .iter()
         .map(|p| {
@@ -106,9 +139,9 @@ pub fn run_trial(n: usize, iterations: usize, seed: u64, profile: LoadProfile) -
         .collect();
 
     TrialResult {
-        apples_s: apples_out.makespan(WARMUP).as_secs_f64(),
-        strip_s: strip_out.makespan(WARMUP).as_secs_f64(),
-        blocked_s: blocked_out.makespan(WARMUP).as_secs_f64(),
+        apples_s,
+        strip_s,
+        blocked_s,
         apples_fractions,
     }
 }

@@ -7,7 +7,7 @@ use crate::table;
 use apples_grid::metrics::FleetMetrics;
 use apples_grid::sweep::{mean_of, sweep_seeds, TrialResult};
 use apples_grid::workload::{ArrivalProcess, JobMix, WorkloadConfig};
-use apples_grid::GridConfig;
+use apples_grid::{GridConfig, GridError};
 use metasim::SimTime;
 
 /// Parameters of the throughput experiment.
@@ -37,8 +37,8 @@ impl Default for GridExpConfig {
     }
 }
 
-/// Run the experiment: `trials` independent streams, in parallel.
-pub fn run_trials(cfg: &GridExpConfig) -> Vec<TrialResult> {
+/// The service and workload configuration of the first trial.
+pub fn first_trial(cfg: &GridExpConfig) -> (GridConfig, WorkloadConfig) {
     let grid = GridConfig {
         seed: cfg.seed,
         max_in_flight: cfg.max_in_flight,
@@ -53,8 +53,14 @@ pub fn run_trials(cfg: &GridExpConfig) -> Vec<TrialResult> {
         seed: cfg.seed,
         ..WorkloadConfig::default()
     };
+    (grid, workload)
+}
+
+/// Run the experiment: `trials` independent streams, in parallel.
+pub fn run_trials(cfg: &GridExpConfig) -> Result<Vec<TrialResult>, GridError> {
+    let (grid, workload) = first_trial(cfg);
     let seeds: Vec<u64> = (0..cfg.trials as u64).map(|i| cfg.seed + i).collect();
-    sweep_seeds(&grid, &workload, &seeds).expect("grid sweep")
+    sweep_seeds(&grid, &workload, &seeds)
 }
 
 /// The fleet metrics of one trial as a two-column table.
@@ -111,7 +117,7 @@ mod tests {
             trials: 2,
             ..GridExpConfig::default()
         };
-        let trials = run_trials(&cfg);
+        let trials = run_trials(&cfg).unwrap();
         assert_eq!(trials.len(), 2);
         let t = fleet_table(&trials[0].fleet);
         assert!(t.contains("throughput /h"));

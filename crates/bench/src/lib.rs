@@ -2,10 +2,11 @@
 
 //! # apples-bench — the experiment harness
 //!
-//! One module per paper artifact; each figure binary under `src/bin/`
-//! is a thin `main` around these functions, and the Criterion benches
-//! under `benches/` time the same entry points. See DESIGN.md for the
-//! experiment ↔ module index and EXPERIMENTS.md for recorded results.
+//! One module per paper artifact. `apples-cli repro <id>` runs and
+//! renders each experiment from these functions, and the Criterion
+//! benches under `benches/` time the same entry points. See DESIGN.md
+//! for the experiment ↔ module index and EXPERIMENTS.md for recorded
+//! results.
 
 pub mod ablation;
 pub mod estimator_exp;

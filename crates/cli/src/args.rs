@@ -2,7 +2,8 @@
 //!
 //! Grammar: `apples-cli <command> [--flag value]... [--switch]...`.
 //! Flags may be given as `--key value` or `--key=value`. Unknown flags
-//! are an error (catches typos early).
+//! are an error (catches typos early), and so is asking for two output
+//! formats at once (`--csv` with `--json`).
 
 use std::collections::BTreeMap;
 
@@ -70,6 +71,9 @@ impl Parsed {
                 return Err(ArgError(format!("unknown flag --{key}")));
             }
         }
+        if flags.contains_key("csv") && flags.contains_key("json") {
+            return Err(ArgError("--csv and --json are mutually exclusive".into()));
+        }
         Ok(Parsed { command, flags })
     }
 
@@ -86,6 +90,21 @@ impl Parsed {
                 .parse()
                 .map_err(|_| ArgError(format!("--{key}: cannot parse {raw:?}"))),
         }
+    }
+
+    /// A comma-separated typed list, or empty when the flag is absent
+    /// or empty; error on any unparsable item.
+    pub fn get_list<T: std::str::FromStr>(&self, key: &str) -> Result<Vec<T>, ArgError> {
+        let Some(raw) = self.flags.get(key).filter(|raw| !raw.is_empty()) else {
+            return Ok(Vec::new());
+        };
+        raw.split(',')
+            .map(|s| {
+                s.trim()
+                    .parse()
+                    .map_err(|_| ArgError(format!("--{key}: cannot parse {s:?}")))
+            })
+            .collect()
     }
 
     /// Whether a switch was given.
@@ -142,6 +161,23 @@ mod tests {
     fn missing_command_is_an_error() {
         assert!(parse(&[]).is_err());
         assert!(parse(&["--n", "5"]).is_err());
+    }
+
+    #[test]
+    fn lists_split_on_commas() {
+        let args: Vec<String> = ["bench", "--hosts", "10, 50"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let p = Parsed::parse(&args, &["hosts", "jobs"], &[]).unwrap();
+        assert_eq!(p.get_list::<usize>("hosts").unwrap(), vec![10, 50]);
+        assert!(p.get_list::<usize>("jobs").unwrap().is_empty());
+        let args: Vec<String> = ["bench", "--hosts", "10,x"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let p = Parsed::parse(&args, &["hosts"], &[]).unwrap();
+        assert!(p.get_list::<usize>("hosts").is_err());
     }
 
     #[test]

@@ -1,21 +1,24 @@
 //! Subcommand implementations.
 
 use crate::args::{ArgError, Parsed};
+use apples::actuator::ActuationReport;
 use apples::coordinator::Coordinator;
 use apples::info::{ForecastSource, InfoPool};
+use apples::rescheduler::{RescheduleReport, ReschedulingAgent};
 use apples::user::{PerformanceMetric, UserSpec};
 use apples::Schedule;
 use apples_apps::jacobi2d::partition::jacobi_context;
-use apples_apps::jacobi2d::{blocked_uniform, static_strip};
 use apples_apps::nile::{cleo_analysis_hat, SiteManager};
 use apples_apps::react3d;
-use metasim::exec::simulate_spmd;
+use apples_bench::fig5;
+use apples_grid::{GridError, GridOutcome};
 use metasim::host::HostSpec;
+use metasim::simtrace::EventSink;
 use metasim::testbed::{pcl_sdsc, LoadProfile, Testbed, TestbedConfig};
-use metasim::{HostId, SimTime};
+use metasim::{HostId, SimError, SimTime, Topology};
 use nws::{ResourceKey, WeatherService, WeatherServiceConfig};
 
-type CmdResult = Result<(), Box<dyn std::error::Error>>;
+pub(crate) type CmdResult = Result<(), Box<dyn std::error::Error>>;
 
 fn profile_of(p: &Parsed) -> Result<LoadProfile, ArgError> {
     match p.get("profile", "moderate") {
@@ -128,27 +131,7 @@ pub fn compare(p: &Parsed) -> CmdResult {
     let tb = build_testbed(p)?;
     let n: usize = p.get_parsed("n", 2000)?;
     let iterations: usize = p.get_parsed("iterations", 100)?;
-    let warmup = SimTime::from_secs(600);
-    let (hat, user) = jacobi_context(n, iterations);
-    let t = hat.as_stencil().expect("stencil");
-
-    let mut ws = WeatherService::for_topology(&tb.topo, WeatherServiceConfig::default());
-    ws.advance(&tb.topo, warmup);
-    let pool = InfoPool::with_nws(&tb.topo, &ws, &hat, &user, warmup);
-    let apples = apples_apps::jacobi2d::apples_stencil_schedule(&pool)?;
-    let a = simulate_spmd(&tb.topo, &apples.to_spmd_job(t, warmup))?;
-
-    let ws_hosts = tb.workstations();
-    let strip = static_strip(&tb.topo, n, iterations, &ws_hosts);
-    let s = simulate_spmd(&tb.topo, &strip.to_spmd_job(t, warmup))?;
-    let blocked = blocked_uniform(n, iterations, &ws_hosts);
-    let b = simulate_spmd(&tb.topo, &blocked.to_spmd_job(t, warmup))?;
-
-    let (a, s, b) = (
-        a.makespan(warmup).as_secs_f64(),
-        s.makespan(warmup).as_secs_f64(),
-        b.makespan(warmup).as_secs_f64(),
-    );
+    let [a, s, b] = fig5::jobs(&tb, n, iterations)?.makespans(&tb.topo)?;
     outln!("Jacobi2D {n}x{n}, {iterations} iterations (one trial):");
     outln!("  AppLeS       {a:>9.2} s");
     outln!("  static Strip {s:>9.2} s   ({:.2}x)", s / a);
@@ -279,44 +262,49 @@ pub fn nile(p: &Parsed) -> CmdResult {
     Ok(())
 }
 
-/// `apples-cli resched`
-pub fn resched(p: &Parsed) -> CmdResult {
-    use apples::rescheduler::ReschedulingAgent;
-    let n: usize = p.get_parsed("n", 1600)?;
-    let iterations: usize = p.get_parsed("iterations", 600)?;
-    let phase: usize = p.get_parsed("phase", 50)?;
-    let seed: u64 = p.get_parsed("seed", 0u64)?;
-
-    // Two host pairs that swap load regimes 60 s into the run.
+/// The RESCHED testbed: four hosts on one segment; at t = 660 s the
+/// two that were idle become hammered and vice versa.
+fn regime_swap_topo(seed: u64) -> Result<Topology, SimError> {
+    use metasim::load::LoadModel;
     let mut b = metasim::net::TopologyBuilder::new();
     let seg = b.add_segment(metasim::net::LinkSpec::dedicated(
         "seg",
         12.5,
         SimTime::from_micros(500),
     ));
+    let flip = SimTime::from_secs(660);
     for i in 0..2 {
         b.add_host(HostSpec::workstation(
             &format!("early-idle-{i}"),
             30.0,
             1024.0,
             seg,
-            metasim::load::LoadModel::Trace(vec![
-                (SimTime::ZERO, 0.95),
-                (SimTime::from_secs(660), 0.1),
-            ]),
+            LoadModel::Trace(vec![(SimTime::ZERO, 0.95), (flip, 0.1)]),
         ));
+    }
+    for i in 0..2 {
         b.add_host(HostSpec::workstation(
             &format!("late-idle-{i}"),
             30.0,
             1024.0,
             seg,
-            metasim::load::LoadModel::Trace(vec![
-                (SimTime::ZERO, 0.1),
-                (SimTime::from_secs(660), 0.95),
-            ]),
+            LoadModel::Trace(vec![(SimTime::ZERO, 0.1), (flip, 0.95)]),
         ));
     }
-    let topo = b.instantiate(SimTime::from_secs(1_000_000), seed)?;
+    b.instantiate(SimTime::from_secs(1_000_000), seed)
+}
+
+/// An `n`×`n` Jacobi2D run started at t = 600 s on the
+/// [`regime_swap_topo`], once as a one-shot AppLeS decision and once
+/// re-planned every `phase` iterations (migrating when the predicted
+/// savings beat the data movement).
+pub(crate) fn one_shot_vs_rescheduling(
+    n: usize,
+    iterations: usize,
+    phase: usize,
+    seed: u64,
+) -> Result<(ActuationReport, RescheduleReport), Box<dyn std::error::Error>> {
+    let topo = regime_swap_topo(seed)?;
     let start = SimTime::from_secs(600);
     let hat = apples::hat::jacobi2d_hat(n, iterations);
     let user = UserSpec::default();
@@ -330,6 +318,16 @@ pub fn resched(p: &Parsed) -> CmdResult {
     let mut adaptive = ReschedulingAgent::new(Coordinator::new(hat, user));
     adaptive.policy.phase_iterations = phase;
     let report = adaptive.run_stencil(&topo, &mut ws2, start)?;
+    Ok((one_shot_report, report))
+}
+
+/// `apples-cli resched`
+pub fn resched(p: &Parsed) -> CmdResult {
+    let n: usize = p.get_parsed("n", 1600)?;
+    let iterations: usize = p.get_parsed("iterations", 600)?;
+    let phase: usize = p.get_parsed("phase", 50)?;
+    let seed: u64 = p.get_parsed("seed", 0u64)?;
+    let (one_shot_report, report) = one_shot_vs_rescheduling(n, iterations, phase, seed)?;
 
     outln!("Jacobi2D {n}x{n}, {iterations} iterations; load regime flips at t = 660 s");
     outln!("one-shot:     {:>8.1} s", one_shot_report.elapsed_seconds);
@@ -554,49 +552,7 @@ pub fn grid(p: &Parsed) -> CmdResult {
     let max_in_flight = cfg.max_in_flight;
     let service = GridService::new(cfg)?;
     let cfg = service.config();
-    let trace_path = p.get("trace", "");
-    let metrics_path = p.get("metrics", "");
-    // Fan the one event stream out to whichever consumers were asked
-    // for: a JSONL writer (--trace) and/or a metrics registry
-    // (--metrics). With neither, the fan-out is disabled and the run
-    // builds no events.
-    let mut writer = if trace_path.is_empty() {
-        None
-    } else {
-        let file = std::fs::File::create(trace_path)
-            .map_err(|e| format!("cannot create {trace_path}: {e}"))?;
-        Some(metasim::simtrace::WriterSink::new(std::io::BufWriter::new(
-            file,
-        )))
-    };
-    let mut metrics = if metrics_path.is_empty() {
-        None
-    } else {
-        Some(obsv::MetricsSink::new())
-    };
-    let out = {
-        let mut fan = obsv::FanoutSink::new();
-        if let Some(w) = writer.as_mut() {
-            fan.push(w);
-        }
-        if let Some(m) = metrics.as_mut() {
-            fan.push(m);
-        }
-        service.run(sched, &workload, &mut fan)
-    };
-    if let Some(mut sink) = writer {
-        if let Some(e) = sink.take_error() {
-            return Err(format!("writing {trace_path}: {e}").into());
-        }
-        sink.into_inner()
-            .into_inner()
-            .map_err(|e| format!("flushing {trace_path}: {e}"))?;
-    }
-    if let Some(sink) = metrics {
-        std::fs::write(metrics_path, sink.registry().expose())
-            .map_err(|e| format!("cannot write {metrics_path}: {e}"))?;
-    }
-    let out = out?;
+    let out = traced(p, |sink| service.run(sched, &workload, sink))?;
 
     if p.switch("json") {
         outln!("{}", out.fleet.to_json());
@@ -646,6 +602,56 @@ pub fn grid(p: &Parsed) -> CmdResult {
         outln!("  {name:>14}  {u:>6.3}");
     }
     Ok(())
+}
+
+/// Run `run` with its events fanned out to whichever consumers the
+/// flags ask for: a JSONL writer to `--trace FILE` and a metrics
+/// registry whose Prometheus exposition goes to `--metrics FILE`. With
+/// neither, the fan-out is disabled and the run builds no events. Both
+/// files are finished before the run's own error is returned.
+pub(crate) fn traced(
+    p: &Parsed,
+    run: impl FnOnce(&mut dyn EventSink) -> Result<GridOutcome, GridError>,
+) -> Result<GridOutcome, Box<dyn std::error::Error>> {
+    let trace_path = p.get("trace", "");
+    let metrics_path = p.get("metrics", "");
+    let mut writer = if trace_path.is_empty() {
+        None
+    } else {
+        let file = std::fs::File::create(trace_path)
+            .map_err(|e| format!("cannot create {trace_path}: {e}"))?;
+        Some(metasim::simtrace::WriterSink::new(std::io::BufWriter::new(
+            file,
+        )))
+    };
+    let mut metrics = if metrics_path.is_empty() {
+        None
+    } else {
+        Some(obsv::MetricsSink::new())
+    };
+    let out = {
+        let mut fan = obsv::FanoutSink::new();
+        if let Some(w) = writer.as_mut() {
+            fan.push(w);
+        }
+        if let Some(m) = metrics.as_mut() {
+            fan.push(m);
+        }
+        run(&mut fan)
+    };
+    if let Some(mut sink) = writer {
+        if let Some(e) = sink.take_error() {
+            return Err(format!("writing {trace_path}: {e}").into());
+        }
+        sink.into_inner()
+            .into_inner()
+            .map_err(|e| format!("flushing {trace_path}: {e}"))?;
+    }
+    if let Some(sink) = metrics {
+        std::fs::write(metrics_path, sink.registry().expose())
+            .map_err(|e| format!("cannot write {metrics_path}: {e}"))?;
+    }
+    Ok(out?)
 }
 
 /// `apples-cli race` — T-RACE: race every scheduling regime (selfish
@@ -967,9 +973,9 @@ pub fn snapshot_diff(args: &[String]) -> i32 {
 }
 
 /// `apples-cli lint` — run the simlint workspace analyzer. Thin
-/// wrapper over [`simlint::driver::run`], the same driver behind the
-/// standalone `simlint` binary, so flags and exit codes are identical
-/// (0 clean, 1 unallowed/denied findings, 2 usage or I/O errors).
+/// wrapper over [`simlint::driver::run`], which owns the flags and the
+/// exit codes (0 clean, 1 unallowed/denied findings, 2 usage or I/O
+/// errors).
 pub fn lint(args: &[String]) -> i32 {
     i32::from(simlint::driver::run(args.iter().cloned()))
 }
@@ -1041,15 +1047,6 @@ pub fn bench(p: &Parsed) -> CmdResult {
         return Ok(());
     }
 
-    fn list(raw: &str, what: &str) -> Result<Vec<usize>, ArgError> {
-        raw.split(',')
-            .map(|s| {
-                s.trim()
-                    .parse()
-                    .map_err(|_| ArgError(format!("--{what}: cannot parse {s:?}")))
-            })
-            .collect()
-    }
     let seed: u64 = p.get_parsed("seed", 42)?;
     let hosts_raw = p.get("hosts", "");
     let topo_raw = p.get("topo", "");
@@ -1061,21 +1058,16 @@ pub fn bench(p: &Parsed) -> CmdResult {
     } else if hosts_raw.is_empty() {
         Vec::new()
     } else {
-        let hosts = list(hosts_raw, "hosts")?;
-        let jobs_raw = p.get("jobs", "");
-        let jobs = if jobs_raw.is_empty() {
+        let hosts: Vec<usize> = p.get_list("hosts")?;
+        let j: Vec<usize> = p.get_list("jobs")?;
+        let jobs = if j.is_empty() {
             vec![1000; hosts.len()]
+        } else if j.len() == 1 {
+            vec![j[0]; hosts.len()]
+        } else if j.len() == hosts.len() {
+            j
         } else {
-            let j = list(jobs_raw, "jobs")?;
-            if j.len() == 1 {
-                vec![j[0]; hosts.len()]
-            } else if j.len() == hosts.len() {
-                j
-            } else {
-                return Err(
-                    ArgError("--jobs must have 1 value or as many as --hosts".into()).into(),
-                );
-            }
+            return Err(ArgError("--jobs must have 1 value or as many as --hosts".into()).into());
         };
         hosts.into_iter().zip(jobs).collect()
     };
@@ -1131,46 +1123,7 @@ mod tests {
 
     fn parsed(words: &[&str]) -> Parsed {
         let args: Vec<String> = words.iter().map(|s| s.to_string()).collect();
-        Parsed::parse(
-            &args,
-            &[
-                "n",
-                "iterations",
-                "profile",
-                "seed",
-                "source",
-                "metric",
-                "max-hosts",
-                "warmup",
-                "host",
-                "until",
-                "unit",
-                "depth",
-                "events",
-                "runs",
-                "phase",
-                "wait",
-                "avail",
-                "rate",
-                "duration",
-                "max-in-flight",
-                "fault-rate",
-                "link-fault-rate",
-                "mean-outage",
-                "permanent",
-                "max-attempts",
-                "backoff",
-                "horizon",
-                "trace",
-                "topo",
-                "regime",
-                "out",
-                "check",
-                "report",
-            ],
-            &["sp2", "csv", "json", "blind", "quiet"],
-        )
-        .expect("parse")
+        Parsed::parse(&args, crate::FLAGS, crate::SWITCHES).expect("parse")
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! apples-cli forecast  [--host I] [--until SECS] [--profile P] [--seed N]
 //! apples-cli react     [--unit U] [--depth D] [--seed N]
 //! apples-cli nile      [--events E] [--runs R] [--seed N]
+//! apples-cli repro     ID [flags]
 //! ```
 
 #[macro_use]
@@ -17,6 +18,7 @@ mod out;
 
 mod args;
 mod commands;
+mod repro;
 
 use args::Parsed;
 
@@ -127,6 +129,21 @@ USAGE:
       --check validates an existing results file instead of running
       and compares it against the last history point (nonzero exit if
       missing/malformed/mismatched).
+  apples-cli repro     ID [flags]
+      Regenerate one experiment of the paper. ID is one of DESIGN.md's
+      experiment ids: fig1 fig2 fig3 fig4 fig5 fig6 t-react t-nile
+      t-nws resched abl-1 abl-2 abl-3 abl-4 t-est t-multi t-pred
+      t-fixed t-whatif t-grid t-fault t-prof. `repro all` checks every
+      headline claim at reduced size and exits 1 on any FAIL. Flags:
+        fig5, fig6   [--quick] [--csv]
+        abl-1        [--quick]
+        t-grid       [--rate R] [--duration SECS] [--seed N] [--trials T]
+                     [--max-in-flight K] [--csv | --json]
+                     [--trace FILE] [--metrics FILE]
+        t-fault      [--rate R] [--duration SECS] [--seed N]
+                     [--rates C1,C2,...] [--mean-outage SECS]
+                     [--permanent F] [--max-attempts K] [--csv]
+        t-prof       [--n N] [--iterations K] [--seed S] [--folded DIR]
 
 Profiles: dedicated | light | moderate (default) | heavy
 ";
@@ -158,79 +175,27 @@ fn main() {
     if raw[0] == "lint" {
         std::process::exit(commands::lint(&raw[1..]));
     }
-    let parsed = match Parsed::parse(
-        &raw,
-        &[
-            "n",
-            "iterations",
-            "profile",
-            "seed",
-            "source",
-            "metric",
-            "max-hosts",
-            "warmup",
-            "host",
-            "until",
-            "unit",
-            "depth",
-            "events",
-            "runs",
-            "phase",
-            "wait",
-            "avail",
-            "rate",
-            "duration",
-            "max-in-flight",
-            "fault-rate",
-            "link-fault-rate",
-            "mean-outage",
-            "permanent",
-            "max-attempts",
-            "backoff",
-            "horizon",
-            "trace",
-            "metrics",
-            "out",
-            "hosts",
-            "jobs",
-            "check",
-            "topo",
-            "regime",
-            "report",
-        ],
-        &["sp2", "csv", "json", "blind", "quiet"],
-    ) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            eprint!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    if parsed.switch("csv") && parsed.switch("json") {
-        eprintln!("error: --csv and --json are mutually exclusive\n");
-        eprint!("{USAGE}");
-        std::process::exit(2);
-    }
-    let result = match parsed.command.as_str() {
-        "testbed" => commands::testbed(&parsed),
-        "schedule" => commands::schedule(&parsed),
-        "compare" => commands::compare(&parsed),
-        "forecast" => commands::forecast(&parsed),
-        "react" => commands::react(&parsed),
-        "nile" => commands::nile(&parsed),
-        "resched" => commands::resched(&parsed),
-        "advise" => commands::advise_cmd(&parsed),
-        "whatif" => commands::whatif(&parsed),
-        "grid" => commands::grid(&parsed),
-        "race" => commands::race(&parsed),
-        "validate" => commands::validate(&parsed),
-        "metrics" => commands::metrics(&parsed),
-        "bench" => commands::bench(&parsed),
-        other => {
-            eprintln!("error: unknown command {other:?}\n");
-            eprint!("{USAGE}");
-            std::process::exit(2);
+    let result = if raw[0] == "repro" {
+        let (parsed, run) = repro::parse(&raw[1..]).unwrap_or_else(|e| usage_error(e));
+        run(&parsed)
+    } else {
+        let parsed = Parsed::parse(&raw, FLAGS, SWITCHES).unwrap_or_else(|e| usage_error(e));
+        match parsed.command.as_str() {
+            "testbed" => commands::testbed(&parsed),
+            "schedule" => commands::schedule(&parsed),
+            "compare" => commands::compare(&parsed),
+            "forecast" => commands::forecast(&parsed),
+            "react" => commands::react(&parsed),
+            "nile" => commands::nile(&parsed),
+            "resched" => commands::resched(&parsed),
+            "advise" => commands::advise_cmd(&parsed),
+            "whatif" => commands::whatif(&parsed),
+            "grid" => commands::grid(&parsed),
+            "race" => commands::race(&parsed),
+            "validate" => commands::validate(&parsed),
+            "metrics" => commands::metrics(&parsed),
+            "bench" => commands::bench(&parsed),
+            other => usage_error(format!("unknown command {other:?}")),
         }
     };
     if let Err(e) = result {
@@ -238,3 +203,54 @@ fn main() {
         std::process::exit(1);
     }
 }
+
+/// Report a malformed command line: the error and the usage on stderr,
+/// exit 2.
+fn usage_error(e: impl std::fmt::Display) -> ! {
+    eprintln!("error: {e}\n");
+    eprint!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// Every flag the flag-grammar subcommands take.
+const FLAGS: &[&str] = &[
+    "n",
+    "iterations",
+    "profile",
+    "seed",
+    "source",
+    "metric",
+    "max-hosts",
+    "warmup",
+    "host",
+    "until",
+    "unit",
+    "depth",
+    "events",
+    "runs",
+    "phase",
+    "wait",
+    "avail",
+    "rate",
+    "duration",
+    "max-in-flight",
+    "fault-rate",
+    "link-fault-rate",
+    "mean-outage",
+    "permanent",
+    "max-attempts",
+    "backoff",
+    "horizon",
+    "trace",
+    "metrics",
+    "out",
+    "hosts",
+    "jobs",
+    "check",
+    "topo",
+    "regime",
+    "report",
+];
+
+/// Every switch the flag-grammar subcommands take.
+const SWITCHES: &[&str] = &["sp2", "csv", "json", "blind", "quiet"];

@@ -1,6 +1,7 @@
 //! The CLI's output boundary: a reader that stops reading (EPIPE, as in
 //! `apples-cli grid --csv | head -1`) is a clean exit 0, not a panic,
-//! and contradictory output formats are a usage error (exit 2).
+//! and contradictory output formats, unknown experiments and flags an
+//! experiment does not take are usage errors (exit 2).
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
@@ -24,17 +25,19 @@ const GRID_CSV: [&str; 8] = [
 fn stdout_closed_before_the_first_write_exits_0() {
     // The read end is gone before the child runs, so its very first
     // write fails with EPIPE.
-    let (reader, writer) = std::io::pipe().expect("pipe");
-    drop(reader);
-    let out = cli()
-        .args(GRID_CSV)
-        .stdout(writer)
-        .stderr(Stdio::piped())
-        .output()
-        .expect("spawn apples-cli grid");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
-    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    for args in [&GRID_CSV[..], &["repro", "fig2"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = cli()
+            .args(args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("spawn apples-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?} stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} stderr: {stderr}");
+    }
 }
 
 #[test]
@@ -58,32 +61,51 @@ fn lint_report_into_a_closed_pipe_keeps_its_exit_code() {
 #[test]
 fn reading_one_line_then_hanging_up_exits_0() {
     // `| head -1`: take the first line, then close the pipe.
-    let mut child = cli()
-        .args(GRID_CSV)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn apples-cli grid");
-    let mut first = String::new();
-    BufReader::new(child.stdout.take().expect("stdout"))
-        .read_line(&mut first)
-        .expect("first line");
-    assert!(first.starts_with("label,"), "first line: {first}");
-    let out = child.wait_with_output().expect("wait");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
-    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    for (args, head) in [(&GRID_CSV[..], "label,"), (&["repro", "fig2"], "Figure 2")] {
+        let mut child = cli()
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn apples-cli");
+        let mut first = String::new();
+        BufReader::new(child.stdout.take().expect("stdout"))
+            .read_line(&mut first)
+            .expect("first line");
+        assert!(first.starts_with(head), "{args:?} first line: {first}");
+        let out = child.wait_with_output().expect("wait");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?} stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} stderr: {stderr}");
+    }
+}
+
+#[test]
+fn unknown_experiment_or_flag_is_a_usage_error() {
+    for args in [
+        &["repro", "nosuch"][..],
+        &["repro"],
+        &["repro", "fig2", "--csv"],
+    ] {
+        let out = cli().args(args).output().expect("spawn apples-cli repro");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("USAGE:"), "{args:?} stderr: {stderr}");
+    }
 }
 
 #[test]
 fn csv_and_json_together_is_a_usage_error() {
-    let out = cli()
-        .args(GRID_CSV)
-        .arg("--json")
-        .output()
-        .expect("spawn apples-cli grid");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(out.stdout.is_empty(), "no output format may win");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--csv and --json"), "stderr: {stderr}");
+    for args in [&GRID_CSV[..], &["repro", "t-grid", "--csv"]] {
+        let out = cli()
+            .args(args)
+            .arg("--json")
+            .output()
+            .expect("spawn apples-cli");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "no output format may win");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--csv and --json"), "stderr: {stderr}");
+    }
 }
