@@ -41,6 +41,7 @@
 //! metrics. The [`obsv`] crate (re-exported here) turns the service's
 //! trace stream into metrics, profiles and Prometheus expositions.
 
+mod lifecycle;
 pub mod metrics;
 pub mod sched;
 pub mod service;

@@ -38,7 +38,10 @@
 //! (keyed by the grid seed): [`run_regime_jobs_with_sink`] and
 //! [`GridService::run`] dispatch every regime through one shared
 //! prologue that applies the faults and orders the jobs, and one
-//! shared epilogue that reduces the records to fleet metrics. Every
+//! shared epilogue that reduces the records to fleet metrics. In
+//! between, one job lifecycle (`crate::lifecycle`) applies the same
+//! retry, give-up and record rules to every regime, so the engines
+//! differ only in where and when they place an attempt. Every
 //! submitted job appears exactly once in the outcome records, completed
 //! or failed — no regime may lose or duplicate work. Stretch, slowdown
 //! and goodput comparisons ride on that invariant; the regime-race
@@ -61,9 +64,10 @@
 //! [`FaultSpec`]: metasim::FaultSpec
 //! [`GridService::run`]: crate::GridService::run
 
-use crate::metrics::{slowdown_of, JobRecord};
+use crate::lifecycle::{Ledger, Settled};
+use crate::metrics::JobRecord;
 use crate::service::{
-    build_topology, decide_with_prediction, host_names_of, outcome, retryable, run_selfish,
+    build_topology, decide_with_prediction, host_names_of, outcome, run_selfish, write_back,
     GridConfig, GridError, GridOutcome, Stream,
 };
 use crate::workload::{JobKind, JobSpec, RetryPolicy};
@@ -168,7 +172,7 @@ pub(crate) fn run_on(
     match regime {
         SchedRegime::Selfish => run_selfish(cfg, pristine, stream, sink),
         SchedRegime::Batch => run_batch(cfg, pristine, stream, sink).map(|(o, _)| o),
-        SchedRegime::Fractional => run_fractional(cfg, pristine, stream, sink).map(|(o, _)| o),
+        SchedRegime::Fractional => run_fractional(pristine, stream, sink).map(|(o, _)| o),
     }
 }
 
@@ -250,15 +254,6 @@ enum BatchEvent {
     Enqueue { idx: usize },
 }
 
-struct BatchState<'a> {
-    spec: &'a JobSpec,
-    submit: SimTime,
-    attempts: u32,
-    dead_hosts: Vec<HostId>,
-    planned: Option<Planned>,
-    announced: bool,
-}
-
 struct Running {
     idx: usize,
     hosts: Vec<HostId>,
@@ -270,14 +265,15 @@ struct Running {
 
 struct BatchRun<'a> {
     cfg: &'a GridConfig,
-    retry: RetryPolicy,
     duration: SimTime,
     /// Fault-free snapshot used for planning and prediction.
     pristine: &'a Topology,
     /// Live (fault-injected) topology used for actuation.
     topo: Topology,
-    states: Vec<BatchState<'a>>,
-    /// FCFS queue of state indices, ordered by (enqueue time, id).
+    ledger: Ledger<'a>,
+    /// Each job's latest plan, by ledger index.
+    planned: Vec<Option<Planned>>,
+    /// FCFS queue of ledger indices, ordered by (enqueue time, id).
     queue: Vec<(SimTime, usize, usize)>,
     running: Vec<Running>,
     events: EventQueue<(SimTime, u8), BatchEvent>,
@@ -315,26 +311,13 @@ fn run_batch<'a>(
     stream: Stream<'a>,
     sink: &'a mut dyn EventSink,
 ) -> Result<(GridOutcome, BatchLog), GridError> {
-    let states: Vec<BatchState<'_>> = stream
-        .jobs
-        .iter()
-        .map(|j| BatchState {
-            spec: j,
-            submit: cfg.warmup + j.submit,
-            attempts: 0,
-            dead_hosts: Vec::new(),
-            planned: None,
-            announced: false,
-        })
-        .collect();
-
     let mut run = BatchRun {
         cfg,
-        retry: stream.retry,
         duration: stream.duration,
         pristine,
         topo: stream.live,
-        states,
+        planned: vec![None; stream.ledger.len()],
+        ledger: stream.ledger,
         queue: Vec::new(),
         running: Vec::new(),
         events: EventQueue::new(),
@@ -342,8 +325,8 @@ fn run_batch<'a>(
         log: BatchLog::default(),
         sink,
     };
-    for idx in 0..run.states.len() {
-        let at = run.states[idx].submit;
+    for idx in 0..run.ledger.len() {
+        let at = run.ledger.job(idx).submit;
         run.events
             .schedule((at, EV_ENQUEUE), BatchEvent::Enqueue { idx });
     }
@@ -364,26 +347,18 @@ impl BatchRun<'_> {
     }
 
     fn process_enqueue(&mut self, idx: usize, now: SimTime) -> Result<(), GridError> {
-        let id = self.states[idx].spec.id;
-        if !self.states[idx].announced {
-            self.states[idx].announced = true;
-            if self.sink.enabled() {
-                self.sink.record(TraceEvent::JobSubmitted {
-                    job: id,
-                    kind: self.states[idx].spec.kind.name().to_string(),
-                    at: now,
-                });
-            }
-        }
+        self.ledger.submit(idx, self.sink);
+        let job = self.ledger.job(idx);
+        let id = job.spec.id;
         match plan_static(
             self.pristine,
-            &self.states[idx].spec.kind,
-            &self.states[idx].dead_hosts,
+            &job.spec.kind,
+            &job.dead_hosts,
             now,
             self.sink,
         ) {
             Ok(p) => {
-                self.states[idx].planned = Some(p);
+                self.planned[idx] = Some(p);
                 let key = (now, id);
                 let pos = self.queue.partition_point(|&(t, i, _)| (t, i) < key);
                 self.queue.insert(pos, (now, id, idx));
@@ -391,15 +366,9 @@ impl BatchRun<'_> {
             Err(err) => {
                 // A planning failure consumes an attempt, mirroring the
                 // selfish stream's accounting.
-                self.states[idx].attempts += 1;
-                if self.sink.enabled() {
-                    self.sink.record(TraceEvent::JobDispatched {
-                        job: id,
-                        at: now,
-                        attempt: self.states[idx].attempts,
-                    });
-                }
-                self.handle_attempt_failure(idx, now, err)?;
+                self.ledger.dispatch(idx, now, self.sink);
+                let settled = self.ledger.settle(idx, &err, now, self.sink)?;
+                self.settled(idx, settled);
             }
         }
         Ok(())
@@ -430,8 +399,7 @@ impl BatchRun<'_> {
             if self.running.len() >= self.cfg.max_in_flight {
                 return Ok(());
             }
-            let head_hosts = self.states[head]
-                .planned
+            let head_hosts = self.planned[head]
                 .as_ref()
                 .map(|p| p.hosts.clone())
                 .ok_or_else(|| GridError::Internal("queued job has no plan".into()))?;
@@ -461,22 +429,16 @@ impl BatchRun<'_> {
             let mut chosen = None;
             for qi in 1..self.queue.len() {
                 let (_, _, idx) = self.queue[qi];
-                let Some(p) = self.states[idx].planned.as_ref() else {
+                let Some(p) = self.planned[idx].as_ref() else {
                     continue;
                 };
                 let candidate = if self.hosts_free(&p.hosts) {
                     Some(p.clone())
                 } else {
-                    let mut excluded = self.states[idx].dead_hosts.clone();
+                    let job = self.ledger.job(idx);
+                    let mut excluded = job.dead_hosts.clone();
                     excluded.extend(busy.iter().copied());
-                    plan_static(
-                        self.pristine,
-                        &self.states[idx].spec.kind,
-                        &excluded,
-                        now,
-                        &mut NoopSink,
-                    )
-                    .ok()
+                    plan_static(self.pristine, &job.spec.kind, &excluded, now, &mut NoopSink).ok()
                 };
                 let Some(p) = candidate else {
                     continue;
@@ -486,7 +448,7 @@ impl BatchRun<'_> {
                     .checked_add(SimTime::from_secs_f64(p.predicted_seconds.max(0.0)))
                     .unwrap_or(SimTime::MAX);
                 if disjoint || predicted_end <= resv {
-                    self.states[idx].planned = Some(p);
+                    self.planned[idx] = Some(p);
                     chosen = Some(qi);
                     break;
                 }
@@ -494,8 +456,7 @@ impl BatchRun<'_> {
             let Some(qi) = chosen else {
                 return Ok(());
             };
-            let (_, _, idx) = self.queue.remove(qi);
-            let id = self.states[idx].spec.id;
+            let (_, id, idx) = self.queue.remove(qi);
             if self.sink.enabled() {
                 self.sink.record(TraceEvent::JobBackfilled {
                     job: id,
@@ -515,32 +476,20 @@ impl BatchRun<'_> {
     }
 
     fn start_job(&mut self, idx: usize, now: SimTime) -> Result<(), GridError> {
-        let id = self.states[idx].spec.id;
-        let submit = self.states[idx].submit;
-        self.states[idx].attempts += 1;
-        let attempts = self.states[idx].attempts;
-        let planned = self.states[idx]
-            .planned
-            .clone()
+        let planned = self.planned[idx]
+            .take()
             .ok_or_else(|| GridError::Internal("started job has no plan".into()))?;
-        if self.sink.enabled() {
-            self.sink.record(TraceEvent::JobDispatched {
-                job: id,
-                at: now,
-                attempt: attempts,
-            });
-        }
+        self.ledger.dispatch(idx, now, self.sink);
         match actuate_with_sink(&self.topo, &planned.hat, &planned.schedule, now, self.sink) {
             Ok(report) => {
                 let hosts = host_names_of(&self.topo, &planned.hosts)?;
-                let wait_seconds = now.saturating_sub(submit).as_secs_f64();
-                if self.sink.enabled() {
-                    self.sink.record(TraceEvent::JobCompleted {
-                        job: id,
-                        at: report.finish,
-                        exec_seconds: report.elapsed_seconds,
-                    });
-                }
+                let record = self.ledger.complete(
+                    idx,
+                    report.finish,
+                    report.elapsed_seconds,
+                    hosts,
+                    self.sink,
+                );
                 let predicted_end = now
                     .checked_add(SimTime::from_secs_f64(planned.predicted_seconds.max(0.0)))
                     .unwrap_or(SimTime::MAX);
@@ -551,86 +500,26 @@ impl BatchRun<'_> {
                 });
                 self.events
                     .schedule((report.finish, EV_COMPLETED), BatchEvent::Completed { idx });
-                self.records.push(JobRecord {
-                    id,
-                    kind: self.states[idx].spec.kind.name().to_string(),
-                    submit,
-                    start: now,
-                    finish: report.finish,
-                    hosts,
-                    wait_seconds,
-                    exec_seconds: report.elapsed_seconds,
-                    slowdown: slowdown_of(wait_seconds, report.elapsed_seconds),
-                    attempts,
-                    reschedules: 0,
-                    completed: true,
-                });
+                self.records.push(record);
             }
-            Err(err) => self.handle_attempt_failure(idx, now, err)?,
+            Err(err) => {
+                let settled = self.ledger.settle(idx, &err, now, self.sink)?;
+                self.settled(idx, settled);
+            }
         }
         Ok(())
     }
 
-    fn handle_attempt_failure(
-        &mut self,
-        idx: usize,
-        now: SimTime,
-        err: ApplesError,
-    ) -> Result<(), GridError> {
-        let id = self.states[idx].spec.id;
-        let Some((lost_host, lost_at)) = retryable(&err) else {
-            return Err(GridError::Job {
-                id,
-                message: err.to_string(),
-            });
-        };
-        if let Some(h) = lost_host {
-            if !self.states[idx].dead_hosts.contains(&h) {
-                self.states[idx].dead_hosts.push(h);
+    /// Re-enqueue a failed attempt after its backoff, or record the
+    /// failure.
+    fn settled(&mut self, idx: usize, settled: Settled) {
+        match settled {
+            Settled::Retry(at) => {
+                self.events
+                    .schedule((at, EV_ENQUEUE), BatchEvent::Enqueue { idx });
             }
+            Settled::Failed(record) => self.records.push(record),
         }
-        let attempts = self.states[idx].attempts;
-        let give_up = lost_at.unwrap_or(now).max(now);
-        if attempts >= self.retry.max_attempts {
-            let submit = self.states[idx].submit;
-            let wait_seconds = give_up.saturating_sub(submit).as_secs_f64();
-            if self.sink.enabled() {
-                self.sink.record(TraceEvent::JobFailed {
-                    job: id,
-                    at: give_up,
-                    attempts,
-                });
-            }
-            self.records.push(JobRecord {
-                id,
-                kind: self.states[idx].spec.kind.name().to_string(),
-                submit,
-                start: now,
-                finish: give_up,
-                hosts: Vec::new(),
-                wait_seconds,
-                exec_seconds: 0.0,
-                slowdown: slowdown_of(wait_seconds, 0.0),
-                attempts,
-                reschedules: 0,
-                completed: false,
-            });
-            return Ok(());
-        }
-        let retry_at = give_up
-            + self
-                .retry
-                .backoff_jittered(attempts, self.cfg.seed ^ id as u64);
-        if self.sink.enabled() {
-            self.sink.record(TraceEvent::JobRetried {
-                job: id,
-                at: retry_at,
-                attempt: attempts,
-            });
-        }
-        self.events
-            .schedule((retry_at, EV_ENQUEUE), BatchEvent::Enqueue { idx });
-        Ok(())
     }
 }
 
@@ -681,18 +570,9 @@ enum FracEvent {
     Enqueue { idx: usize },
 }
 
-struct FracState<'a> {
-    spec: &'a JobSpec,
-    submit: SimTime,
-    attempts: u32,
-    dead_hosts: Vec<HostId>,
-    announced: bool,
-}
-
 struct ActiveJob {
     idx: usize,
     id: usize,
-    start: SimTime,
     /// Dedicated-equivalent work left, in seconds. Work, not a
     /// timestamp: it drains at the job's fractional rate.
     remaining: f64,
@@ -700,8 +580,6 @@ struct ActiveJob {
 }
 
 struct FracRun<'a> {
-    cfg: &'a GridConfig,
-    retry: RetryPolicy,
     duration: SimTime,
     /// Fault-free snapshot used for planning and dedicated what-if
     /// actuation.
@@ -709,7 +587,7 @@ struct FracRun<'a> {
     /// Live topology: faults applied up front, realized occupancy
     /// written back at the end.
     live: Topology,
-    states: Vec<FracState<'a>>,
+    ledger: Ledger<'a>,
     active: Vec<ActiveJob>,
     down: BTreeSet<HostId>,
     events: EventQueue<(SimTime, u8), FracEvent>,
@@ -738,35 +616,20 @@ pub fn run_fractional_with_log(
         retry,
         sink,
     )?;
-    run_fractional(cfg, &pristine, stream, sink)
+    run_fractional(&pristine, stream, sink)
 }
 
 /// The fractional engine over a started stream.
 fn run_fractional<'a>(
-    cfg: &'a GridConfig,
     pristine: &'a Topology,
     stream: Stream<'a>,
     sink: &'a mut dyn EventSink,
 ) -> Result<(GridOutcome, FractionalLog), GridError> {
-    let states: Vec<FracState<'_>> = stream
-        .jobs
-        .iter()
-        .map(|j| FracState {
-            spec: j,
-            submit: cfg.warmup + j.submit,
-            attempts: 0,
-            dead_hosts: Vec::new(),
-            announced: false,
-        })
-        .collect();
-
     let mut run = FracRun {
-        cfg,
-        retry: stream.retry,
         duration: stream.duration,
         pristine,
         live: stream.live,
-        states,
+        ledger: stream.ledger,
         active: Vec::new(),
         down: BTreeSet::new(),
         events: EventQueue::new(),
@@ -775,8 +638,8 @@ fn run_fractional<'a>(
         impositions: BTreeMap::new(),
         sink,
     };
-    for idx in 0..run.states.len() {
-        let at = run.states[idx].submit;
+    for idx in 0..run.ledger.len() {
+        let at = run.ledger.job(idx).submit;
         run.events
             .schedule((at, EV_FRAC_ENQUEUE), FracEvent::Enqueue { idx });
     }
@@ -816,7 +679,7 @@ impl FracRun<'_> {
                         FracEvent::HostUp(h) => {
                             self.down.remove(&h);
                         }
-                        FracEvent::HostDown(h) => self.host_down(h, now)?,
+                        FracEvent::HostDown(h) => self.host_down(h, now),
                         FracEvent::Enqueue { idx } => self.process_enqueue(idx, now)?,
                     }
                 }
@@ -916,38 +779,21 @@ impl FracRun<'_> {
                 continue;
             };
             let j = self.active.remove(pos);
-            let st = &self.states[j.idx];
-            let exec_seconds = now.saturating_sub(j.start).as_secs_f64();
-            let wait_seconds = j.start.saturating_sub(st.submit).as_secs_f64();
+            let exec_seconds = now
+                .saturating_sub(self.ledger.job(j.idx).start)
+                .as_secs_f64();
             let hosts = host_names_of(self.pristine, &j.hosts)?;
-            if self.sink.enabled() {
-                self.sink.record(TraceEvent::JobCompleted {
-                    job: j.id,
-                    at: now,
-                    exec_seconds,
-                });
-            }
-            self.records.push(JobRecord {
-                id: j.id,
-                kind: st.spec.kind.name().to_string(),
-                submit: st.submit,
-                start: j.start,
-                finish: now,
-                hosts,
-                wait_seconds,
-                exec_seconds,
-                slowdown: slowdown_of(wait_seconds, exec_seconds),
-                attempts: st.attempts,
-                reschedules: 0,
-                completed: true,
-            });
+            let record = self
+                .ledger
+                .complete(j.idx, now, exec_seconds, hosts, self.sink);
+            self.records.push(record);
         }
         Ok(())
     }
 
     /// A host crash revokes every resident: the job restarts from
     /// scratch (no PS checkpointing) under the retry policy.
-    fn host_down(&mut self, h: HostId, now: SimTime) -> Result<(), GridError> {
+    fn host_down(&mut self, h: HostId, now: SimTime) {
         self.down.insert(h);
         let victims: Vec<usize> = self
             .active
@@ -964,87 +810,23 @@ impl FracRun<'_> {
                 self.sink
                     .record(TraceEvent::PlacementRevoked { host: h, at: now });
             }
-            let idx = j.idx;
-            if !self.states[idx].dead_hosts.contains(&h) {
-                self.states[idx].dead_hosts.push(h);
-            }
-            let attempts = self.states[idx].attempts;
-            if attempts >= self.retry.max_attempts {
-                let st = &self.states[idx];
-                let wait_seconds = now.saturating_sub(st.submit).as_secs_f64();
-                if self.sink.enabled() {
-                    self.sink.record(TraceEvent::JobFailed {
-                        job: id,
-                        at: now,
-                        attempts,
-                    });
-                }
-                self.records.push(JobRecord {
-                    id,
-                    kind: st.spec.kind.name().to_string(),
-                    submit: st.submit,
-                    start: j.start,
-                    finish: now,
-                    hosts: Vec::new(),
-                    wait_seconds,
-                    exec_seconds: 0.0,
-                    slowdown: slowdown_of(wait_seconds, 0.0),
-                    attempts,
-                    reschedules: 0,
-                    completed: false,
-                });
-            } else {
-                let retry_at = now
-                    + self
-                        .retry
-                        .backoff_jittered(attempts, self.cfg.seed ^ id as u64);
-                if self.sink.enabled() {
-                    self.sink.record(TraceEvent::JobRetried {
-                        job: id,
-                        at: retry_at,
-                        attempt: attempts,
-                    });
-                }
-                self.events
-                    .schedule((retry_at, EV_FRAC_ENQUEUE), FracEvent::Enqueue { idx });
-            }
+            let settled = self
+                .ledger
+                .settle_failure(j.idx, Some(h), None, now, self.sink);
+            self.settled(j.idx, settled);
         }
-        Ok(())
     }
 
     fn process_enqueue(&mut self, idx: usize, now: SimTime) -> Result<(), GridError> {
-        let id = self.states[idx].spec.id;
-        if !self.states[idx].announced {
-            self.states[idx].announced = true;
-            if self.sink.enabled() {
-                self.sink.record(TraceEvent::JobSubmitted {
-                    job: id,
-                    kind: self.states[idx].spec.kind.name().to_string(),
-                    at: now,
-                });
-            }
-        }
-        self.states[idx].attempts += 1;
-        let attempts = self.states[idx].attempts;
-        if self.sink.enabled() {
-            self.sink.record(TraceEvent::JobDispatched {
-                job: id,
-                at: now,
-                attempt: attempts,
-            });
-        }
+        self.ledger.submit(idx, self.sink);
+        self.ledger.dispatch(idx, now, self.sink);
+        let job = self.ledger.job(idx);
+        let (id, kind) = (job.spec.id, &job.spec.kind);
         // A central PS scheduler sees the whole system: exclude both
         // hosts this job has watched die and hosts currently down.
-        let mut excluded = self.states[idx].dead_hosts.clone();
+        let mut excluded = job.dead_hosts.clone();
         excluded.extend(self.down.iter().copied());
-        let outcome = plan_static(
-            self.pristine,
-            &self.states[idx].spec.kind,
-            &excluded,
-            now,
-            self.sink,
-        )
-        .and_then(|p| {
+        let outcome = plan_static(self.pristine, kind, &excluded, now, self.sink).and_then(|p| {
             // What-if actuation on the pristine testbed measures the
             // job's dedicated-equivalent work; the executor events are
             // hypothetical, so they go to a noop sink.
@@ -1067,76 +849,28 @@ impl FracRun<'_> {
                 self.active.push(ActiveJob {
                     idx,
                     id,
-                    start: now,
                     remaining: report.elapsed_seconds.max(0.0),
                     hosts: p.hosts,
                 });
             }
-            Err(err) => self.handle_failure(idx, now, err)?,
+            Err(err) => {
+                let settled = self.ledger.settle(idx, &err, now, self.sink)?;
+                self.settled(idx, settled);
+            }
         }
         Ok(())
     }
 
-    fn handle_failure(
-        &mut self,
-        idx: usize,
-        now: SimTime,
-        err: ApplesError,
-    ) -> Result<(), GridError> {
-        let id = self.states[idx].spec.id;
-        let Some((lost_host, lost_at)) = retryable(&err) else {
-            return Err(GridError::Job {
-                id,
-                message: err.to_string(),
-            });
-        };
-        if let Some(h) = lost_host {
-            if !self.states[idx].dead_hosts.contains(&h) {
-                self.states[idx].dead_hosts.push(h);
+    /// Re-enqueue a failed attempt after its backoff, or record the
+    /// failure.
+    fn settled(&mut self, idx: usize, settled: Settled) {
+        match settled {
+            Settled::Retry(at) => {
+                self.events
+                    .schedule((at, EV_FRAC_ENQUEUE), FracEvent::Enqueue { idx });
             }
+            Settled::Failed(record) => self.records.push(record),
         }
-        let attempts = self.states[idx].attempts;
-        let give_up = lost_at.unwrap_or(now).max(now);
-        if attempts >= self.retry.max_attempts {
-            let st = &self.states[idx];
-            let wait_seconds = give_up.saturating_sub(st.submit).as_secs_f64();
-            if self.sink.enabled() {
-                self.sink.record(TraceEvent::JobFailed {
-                    job: id,
-                    at: give_up,
-                    attempts,
-                });
-            }
-            self.records.push(JobRecord {
-                id,
-                kind: st.spec.kind.name().to_string(),
-                submit: st.submit,
-                start: now,
-                finish: give_up,
-                hosts: Vec::new(),
-                wait_seconds,
-                exec_seconds: 0.0,
-                slowdown: slowdown_of(wait_seconds, 0.0),
-                attempts,
-                reschedules: 0,
-                completed: false,
-            });
-            return Ok(());
-        }
-        let retry_at = give_up
-            + self
-                .retry
-                .backoff_jittered(attempts, self.cfg.seed ^ id as u64);
-        if self.sink.enabled() {
-            self.sink.record(TraceEvent::JobRetried {
-                job: id,
-                at: retry_at,
-                attempt: attempts,
-            });
-        }
-        self.events
-            .schedule((retry_at, EV_FRAC_ENQUEUE), FracEvent::Enqueue { idx });
-        Ok(())
     }
 
     /// Write the realized per-host occupancy back onto the live
@@ -1148,9 +882,7 @@ impl FracRun<'_> {
     fn finish(mut self) -> Result<(GridOutcome, FractionalLog), GridError> {
         let impositions = std::mem::take(&mut self.impositions);
         for (h, imps) in &impositions {
-            let hm = self.live.host_mut(*h)?;
-            let scaled = hm.availability().with_impositions(imps);
-            hm.set_availability(scaled);
+            write_back(&mut self.live, *h, imps)?;
             if self.sink.enabled() {
                 for imp in imps {
                     self.sink.record(TraceEvent::LoadImposed {

@@ -48,7 +48,8 @@
 //! the survivors instead of restarting from scratch. Jobs that exhaust
 //! their attempts are recorded with `completed = false`, never dropped.
 
-use crate::metrics::{slowdown_of, FleetMetrics, JobRecord};
+use crate::lifecycle::{Ledger, Settled};
+use crate::metrics::{FleetMetrics, JobRecord};
 use crate::sched::SchedRegime;
 use crate::workload::{JobKind, JobSpec, RetryPolicy, WorkloadConfig};
 use apples::actuator::{actuate_with_sink, ActuationDetail, ActuationReport};
@@ -435,47 +436,30 @@ enum AttemptOutcome {
     Phased(RescheduleReport),
 }
 
-/// A failure the retry policy may absorb: the revoked/unreachable host
-/// (when the failure names one) and the simulated time the placement
-/// was lost (when known).
-pub(crate) fn retryable(err: &ApplesError) -> Option<(Option<HostId>, Option<SimTime>)> {
-    match err {
-        ApplesError::Sim(SimError::PlacementLost { host, at }) => {
-            Some((Some(HostId(*host)), Some(*at)))
-        }
-        ApplesError::Sim(SimError::NeverCompletes { .. }) => Some((None, None)),
-        ApplesError::NoFeasibleResources
-        | ApplesError::PlanningFailed(_)
-        | ApplesError::NoViableSchedule => Some((None, None)),
-        _ => None,
-    }
-}
-
 /// What every regime engine starts from: the shared run prologue.
 ///
 /// [`Stream::start`] gives the selfish loop below and the centralized
 /// engines in [`crate::sched`] the same live testbed, the same realized
-/// fault schedule (keyed by the grid seed) and the same admission
-/// order, so every regime faces the exact same stream.
+/// fault schedule (keyed by the grid seed) and the same job ledger —
+/// admission order and retry rules — so every regime faces the exact
+/// same stream.
 pub(crate) struct Stream<'a> {
     /// A clone of the pristine testbed with the faults applied.
     pub(crate) live: Topology,
     /// The fault schedule realized over the submission window.
     pub(crate) faults: FaultSpec,
-    /// The jobs in admission order, `(submit, id)`.
-    pub(crate) jobs: Vec<&'a JobSpec>,
+    /// The jobs in admission order, under the validated retry policy.
+    pub(crate) ledger: Ledger<'a>,
     /// Submission-window length: the throughput and utilization
     /// denominator.
     pub(crate) duration: SimTime,
-    /// The validated retry policy.
-    pub(crate) retry: RetryPolicy,
 }
 
 impl<'a> Stream<'a> {
     /// Validate the retry policy (and, except under processor sharing,
     /// which has no queue, the admission bound), clone the live
     /// testbed from the borrowed `pristine` one, realize and apply the
-    /// faults, and order the jobs.
+    /// faults, and open the jobs' ledger.
     pub(crate) fn start(
         cfg: &GridConfig,
         regime: SchedRegime,
@@ -502,14 +486,11 @@ impl<'a> Stream<'a> {
         if !faults.is_empty() {
             apply_faults_with_sink(&mut live, &faults, sink)?;
         }
-        let mut jobs: Vec<&JobSpec> = jobs.iter().collect();
-        jobs.sort_by_key(|j| (j.submit, j.id));
         Ok(Stream {
             live,
             faults,
-            jobs,
+            ledger: Ledger::new(jobs, cfg.warmup, retry, cfg.seed),
             duration,
-            retry,
         })
     }
 }
@@ -533,9 +514,8 @@ pub(crate) fn run_selfish(
     let Stream {
         live: mut topo,
         faults,
-        jobs: ordered,
+        mut ledger,
         duration,
-        retry,
     } = stream;
     let faults_on = !faults.is_empty();
 
@@ -551,24 +531,18 @@ pub(crate) fn run_selfish(
 
     // Finish times of admitted jobs, for the FCFS in-flight bound.
     let mut in_flight: EventQueue<SimTime, ()> = EventQueue::new();
-    let mut records = Vec::with_capacity(ordered.len());
+    let mut records = Vec::with_capacity(ledger.len());
 
-    for job in ordered {
-        let submit = cfg.warmup + job.submit;
-        let mut start = submit;
+    for idx in 0..ledger.len() {
+        let job = ledger.job(idx).spec;
+        let mut start = ledger.job(idx).submit;
         while in_flight.len() >= cfg.max_in_flight {
             let Some((freed, _, ())) = in_flight.pop() else {
                 break;
             };
             start = start.max(freed);
         }
-        if sink.enabled() {
-            sink.record(TraceEvent::JobSubmitted {
-                job: job.id,
-                kind: job.kind.name().to_string(),
-                at: submit,
-            });
-        }
+        ledger.submit(idx, sink);
 
         let (hat, base_user) = job.kind.hat_and_user();
         // Aware stencil jobs run phase-wise under faults so a mid-run
@@ -576,23 +550,11 @@ pub(crate) fn run_selfish(
         let phased =
             faults_on && cfg.regime == Regime::Aware && matches!(job.kind, JobKind::Jacobi { .. });
 
-        let mut attempts: u32 = 0;
-        let mut reschedules: u32 = 0;
-        // Hosts the service has watched die under this job's
-        // placements; excluded from subsequent attempts.
-        let mut dead_hosts: Vec<HostId> = Vec::new();
-
         let record = loop {
-            attempts += 1;
-            if sink.enabled() {
-                sink.record(TraceEvent::JobDispatched {
-                    job: job.id,
-                    at: start,
-                    attempt: attempts,
-                });
-            }
+            ledger.dispatch(idx, start, sink);
             let mut user = base_user.clone();
-            user.excluded_hosts.extend(dead_hosts.iter().copied());
+            user.excluded_hosts
+                .extend(ledger.job(idx).dead_hosts.iter().copied());
 
             let outcome: Result<AttemptOutcome, ApplesError> = if phased {
                 let mut agent = ReschedulingAgent::new(Coordinator::new(hat.clone(), user));
@@ -634,34 +596,10 @@ pub(crate) fn run_selfish(
                 Ok(AttemptOutcome::OneShot(schedule, report)) => {
                     impose_job_load(&mut topo, &hat, &schedule, &report, start, sink)?;
                     let hosts = host_names_of(&topo, &schedule.hosts())?;
-                    let wait_seconds = start.saturating_sub(submit).as_secs_f64();
-                    if sink.enabled() {
-                        sink.record(TraceEvent::JobCompleted {
-                            job: job.id,
-                            at: report.finish,
-                            exec_seconds: report.elapsed_seconds,
-                        });
-                    }
-                    break JobRecord {
-                        id: job.id,
-                        kind: job.kind.name().to_string(),
-                        submit,
-                        start,
-                        finish: report.finish,
-                        hosts,
-                        wait_seconds,
-                        exec_seconds: report.elapsed_seconds,
-                        slowdown: slowdown_of(wait_seconds, report.elapsed_seconds),
-                        attempts,
-                        reschedules,
-                        completed: true,
-                    };
+                    break ledger.complete(idx, report.finish, report.elapsed_seconds, hosts, sink);
                 }
                 Ok(AttemptOutcome::Phased(report)) => {
-                    // Saturate rather than truncate: a `usize as u32`
-                    // cast would silently wrap a pathological count.
-                    reschedules = reschedules
-                        .saturating_add(u32::try_from(report.revocations).unwrap_or(u32::MAX));
+                    ledger.rescheduled(idx, report.revocations);
                     let mut used: Vec<HostId> = Vec::new();
                     // Collect each host's per-phase impositions and
                     // apply them in one batched series rebuild per host
@@ -697,87 +635,15 @@ pub(crate) fn run_selfish(
                         }
                     }
                     for (h, imps) in &batched {
-                        let hm = topo.host_mut(*h)?;
-                        let scaled = hm.availability().with_impositions(imps);
-                        hm.set_availability(scaled);
+                        write_back(&mut topo, *h, imps)?;
                     }
                     let hosts = host_names_of(&topo, &used)?;
-                    let wait_seconds = start.saturating_sub(submit).as_secs_f64();
-                    if sink.enabled() {
-                        sink.record(TraceEvent::JobCompleted {
-                            job: job.id,
-                            at: report.finish,
-                            exec_seconds: report.elapsed_seconds,
-                        });
-                    }
-                    break JobRecord {
-                        id: job.id,
-                        kind: job.kind.name().to_string(),
-                        submit,
-                        start,
-                        finish: report.finish,
-                        hosts,
-                        wait_seconds,
-                        exec_seconds: report.elapsed_seconds,
-                        slowdown: slowdown_of(wait_seconds, report.elapsed_seconds),
-                        attempts,
-                        reschedules,
-                        completed: true,
-                    };
+                    break ledger.complete(idx, report.finish, report.elapsed_seconds, hosts, sink);
                 }
-                Err(err) => {
-                    let Some((lost_host, lost_at)) = retryable(&err) else {
-                        return Err(GridError::Job {
-                            id: job.id,
-                            message: err.to_string(),
-                        });
-                    };
-                    if let Some(h) = lost_host {
-                        if !dead_hosts.contains(&h) {
-                            dead_hosts.push(h);
-                        }
-                    }
-                    if attempts >= retry.max_attempts {
-                        // Out of budget: record the failure. Nothing
-                        // was imposed for any failed attempt, so the
-                        // topology carries no trace of the lost work.
-                        let give_up = lost_at.unwrap_or(start).max(start);
-                        let wait_seconds = give_up.saturating_sub(submit).as_secs_f64();
-                        if sink.enabled() {
-                            sink.record(TraceEvent::JobFailed {
-                                job: job.id,
-                                at: give_up,
-                                attempts,
-                            });
-                        }
-                        break JobRecord {
-                            id: job.id,
-                            kind: job.kind.name().to_string(),
-                            submit,
-                            start,
-                            finish: give_up,
-                            hosts: Vec::new(),
-                            wait_seconds,
-                            exec_seconds: 0.0,
-                            slowdown: slowdown_of(wait_seconds, 0.0),
-                            attempts,
-                            reschedules,
-                            completed: false,
-                        };
-                    }
-                    // Jittered per (seed, job): jobs revoked by the
-                    // same fault spread out instead of thundering back
-                    // in lockstep, deterministically per seed.
-                    start = lost_at.unwrap_or(start).max(start)
-                        + retry.backoff_jittered(attempts, cfg.seed ^ job.id as u64);
-                    if sink.enabled() {
-                        sink.record(TraceEvent::JobRetried {
-                            job: job.id,
-                            at: start,
-                            attempt: attempts,
-                        });
-                    }
-                }
+                Err(err) => match ledger.settle(idx, &err, start, sink)? {
+                    Settled::Retry(at) => start = at,
+                    Settled::Failed(record) => break record,
+                },
             }
         };
         in_flight.schedule(record.finish, ());
@@ -935,11 +801,7 @@ fn impose_host(
     factor: f64,
     sink: &mut dyn EventSink,
 ) -> Result<(), GridError> {
-    let h = topo.host_mut(host)?;
-    let scaled = h
-        .availability()
-        .with_impositions(&[Imposition::new(from, to, factor)]);
-    h.set_availability(scaled);
+    write_back(topo, host, &[Imposition::new(from, to, factor)])?;
     if sink.enabled() {
         sink.record(TraceEvent::LoadImposed {
             host,
@@ -948,6 +810,19 @@ fn impose_host(
             factor,
         });
     }
+    Ok(())
+}
+
+/// Scale one host's availability by every imposition in `imps`: one
+/// batched series rebuild, however many windows.
+pub(crate) fn write_back(
+    topo: &mut Topology,
+    host: HostId,
+    imps: &[Imposition],
+) -> Result<(), GridError> {
+    let h = topo.host_mut(host)?;
+    let scaled = h.availability().with_impositions(imps);
+    h.set_availability(scaled);
     Ok(())
 }
 

@@ -66,39 +66,6 @@ impl SpmdOutcome {
     }
 }
 
-/// Per-iteration detail of an SPMD run, for straggler analysis.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpmdTrace {
-    /// `compute_done[iteration][worker]`: when each worker finished its
-    /// compute phase.
-    pub compute_done: Vec<Vec<SimTime>>,
-}
-
-impl SpmdTrace {
-    /// The worker that finished its compute phase last in `iteration`
-    /// (the iteration's straggler), if the iteration exists.
-    pub fn straggler(&self, iteration: usize) -> Option<usize> {
-        self.compute_done.get(iteration).and_then(|row| {
-            row.iter()
-                .enumerate()
-                .max_by_key(|&(_, &t)| t)
-                .map(|(w, _)| w)
-        })
-    }
-
-    /// How many iterations each worker was the straggler for.
-    pub fn straggler_counts(&self) -> Vec<usize> {
-        let workers = self.compute_done.first().map(|r| r.len()).unwrap_or(0);
-        let mut counts = vec![0usize; workers];
-        for it in 0..self.compute_done.len() {
-            if let Some(w) = self.straggler(it) {
-                counts[w] += 1;
-            }
-        }
-        counts
-    }
-}
-
 /// Simulate a bulk-synchronous SPMD job on the topology.
 ///
 /// Execution begins once every worker's host is ready (the maximum
@@ -106,15 +73,7 @@ impl SpmdTrace {
 /// resources). Sends that name an out-of-range worker index are an
 /// error, as is an empty placement list.
 pub fn simulate_spmd(topo: &Topology, job: &SpmdJob) -> Result<SpmdOutcome, SimError> {
-    simulate_spmd_traced(topo, job).map(|(o, _)| o)
-}
-
-/// [`simulate_spmd`] plus the per-iteration compute-completion trace.
-pub fn simulate_spmd_traced(
-    topo: &Topology,
-    job: &SpmdJob,
-) -> Result<(SpmdOutcome, SpmdTrace), SimError> {
-    simulate_spmd_full(topo, job, &mut NoopSink)
+    simulate_spmd_with_sink(topo, job, &mut NoopSink)
 }
 
 /// [`simulate_spmd`], emitting one [`TraceEvent::ComputeStart`] /
@@ -125,14 +84,6 @@ pub fn simulate_spmd_with_sink(
     job: &SpmdJob,
     sink: &mut dyn EventSink,
 ) -> Result<SpmdOutcome, SimError> {
-    simulate_spmd_full(topo, job, sink).map(|(o, _)| o)
-}
-
-fn simulate_spmd_full(
-    topo: &Topology,
-    job: &SpmdJob,
-    sink: &mut dyn EventSink,
-) -> Result<(SpmdOutcome, SpmdTrace), SimError> {
     if job.placements.is_empty() {
         return Err(SimError::EmptySchedule);
     }
@@ -180,9 +131,8 @@ fn simulate_spmd_full(
     let mut iteration_ends = Vec::with_capacity(job.iterations);
     let mut compute_time = vec![SimTime::ZERO; n];
     let mut sync_time = vec![SimTime::ZERO; n];
-    let mut trace = SpmdTrace {
-        compute_done: Vec::with_capacity(job.iterations),
-    };
+    // Each worker's compute-phase finish in the latest iteration.
+    let mut last_done: Vec<SimTime> = Vec::new();
 
     for _ in 0..job.iterations {
         // Compute phase.
@@ -217,7 +167,7 @@ fn simulate_spmd_full(
         for (w, &done) in compute_done.iter().enumerate() {
             sync_time[w] += next_barrier - done;
         }
-        trace.compute_done.push(compute_done);
+        last_done = compute_done;
         barrier = next_barrier;
         iteration_ends.push(barrier);
     }
@@ -229,28 +179,20 @@ fn simulate_spmd_full(
 
     if sink.enabled() {
         for (w, p) in job.placements.iter().enumerate() {
-            let last_done = trace
-                .compute_done
-                .last()
-                .and_then(|row| row.get(w).copied())
-                .unwrap_or(barrier);
             sink.record(TraceEvent::ComputeFinish {
                 host: p.host,
-                at: last_done,
+                at: last_done.get(w).copied().unwrap_or(barrier),
                 elapsed_seconds: compute_seconds[w],
             });
         }
     }
 
-    Ok((
-        SpmdOutcome {
-            finish: barrier,
-            iteration_ends,
-            compute_seconds,
-            sync_seconds,
-        },
-        trace,
-    ))
+    Ok(SpmdOutcome {
+        finish: barrier,
+        iteration_ends,
+        compute_seconds,
+        sync_seconds,
+    })
 }
 
 #[cfg(test)]
@@ -444,30 +386,6 @@ mod tests {
         let out = simulate_spmd(&topo, &job).unwrap();
         assert_eq!(out.finish, s(7.0));
         assert!(out.iteration_ends.is_empty());
-    }
-
-    #[test]
-    fn trace_identifies_the_straggler() {
-        let topo = topo2();
-        let job = SpmdJob {
-            placements: vec![
-                placement(0, 200.0, vec![]), // 20 s/iter — the straggler
-                placement(1, 50.0, vec![]),  // 5 s/iter
-            ],
-            iterations: 4,
-            start: SimTime::ZERO,
-        };
-        let (out, trace) = simulate_spmd_traced(&topo, &job).unwrap();
-        assert_eq!(trace.compute_done.len(), 4);
-        assert_eq!(trace.compute_done[0].len(), 2);
-        for it in 0..4 {
-            assert_eq!(trace.straggler(it), Some(0));
-        }
-        assert_eq!(trace.straggler_counts(), vec![4, 0]);
-        assert!(trace.straggler(99).is_none());
-        // The traced outcome matches the untraced entry point.
-        let plain = simulate_spmd(&topo, &job).unwrap();
-        assert_eq!(out, plain);
     }
 
     #[test]

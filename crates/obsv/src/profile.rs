@@ -28,7 +28,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use metasim::simtrace::{host_utilization_timeline, TraceEvent};
+use metasim::simtrace::TraceEvent;
 use metasim::{HostId, SimTime};
 
 /// One attribution bucket. Order is significant: it is the emission
@@ -183,8 +183,9 @@ pub struct Profile {
     /// JSONL lines that did not parse (only via
     /// [`Profile::from_jsonl`]).
     pub skipped_lines: usize,
-    /// Raw events kept for timeline rendering.
-    timeline_events: Vec<TraceEvent>,
+    /// Per-host `[finish - elapsed, finish]` compute intervals in
+    /// seconds, in trace order, for the Gantt host lanes.
+    busy_intervals: BTreeMap<HostId, Vec<(f64, f64)>>,
 }
 
 impl Profile {
@@ -196,6 +197,7 @@ impl Profile {
         let mut open_transfers: BTreeMap<(usize, usize), Vec<u64>> = BTreeMap::new();
         let mut current: Option<usize> = None;
         let mut span: Option<(SimTime, SimTime)> = None;
+        let mut busy_intervals: BTreeMap<HostId, Vec<(f64, f64)>> = BTreeMap::new();
 
         for e in events {
             let at = e.at();
@@ -246,9 +248,12 @@ impl Profile {
                 }
                 TraceEvent::ComputeFinish {
                     host,
+                    at,
                     elapsed_seconds,
-                    ..
                 } => {
+                    let fin = at.as_secs_f64();
+                    let start = (fin - elapsed_seconds.max(0.0)).max(0.0);
+                    busy_intervals.entry(*host).or_default().push((start, fin));
                     let elapsed = if elapsed_seconds.is_finite() {
                         *elapsed_seconds
                     } else {
@@ -339,7 +344,7 @@ impl Profile {
             events: events.len(),
             unclosed_jobs: jobs.len(),
             skipped_lines: 0,
-            timeline_events: events.to_vec(),
+            busy_intervals,
         }
     }
 
@@ -458,9 +463,8 @@ impl Profile {
         if !self.hosts.is_empty() {
             let _ = writeln!(out, "hosts (busy fraction per column)");
             let bucket_seconds = (span_us as f64 / 1e6 / width as f64).max(1e-6);
-            let tl = host_utilization_timeline(&self.timeline_events, bucket_seconds);
             const RAMP: [char; 10] = [' ', '.', ':', '-', '=', '+', '*', '#', '%', '@'];
-            for (host, frac) in &tl {
+            for (host, frac) in self.busy_buckets(t1, bucket_seconds) {
                 let mut lane = String::with_capacity(width);
                 for col in 0..width {
                     let f = frac.get(col).copied().unwrap_or(0.0);
@@ -469,6 +473,33 @@ impl Profile {
                 }
                 let _ = writeln!(out, "host{:<4} |{lane}|", host.0);
             }
+        }
+        out
+    }
+
+    /// Per-host busy fraction of each `bucket_seconds`-wide bucket over
+    /// `[0, end]`, from the collected compute intervals. Overlapping
+    /// workers on one host can push a bucket above 1.0 (demand
+    /// utilization).
+    fn busy_buckets(&self, end: SimTime, bucket_seconds: f64) -> BTreeMap<HostId, Vec<f64>> {
+        // simlint: allow(sim-time-hygiene): a render-boundary bucket count; Gantt columns are f64-seconds wide, not a simulated-time accumulation
+        let n_buckets = (end.as_secs_f64() / bucket_seconds).ceil() as usize;
+        if n_buckets == 0 {
+            return BTreeMap::new();
+        }
+        let mut out = BTreeMap::new();
+        for (&host, intervals) in &self.busy_intervals {
+            let mut buckets = vec![0.0; n_buckets];
+            for &(start, fin) in intervals {
+                let first = (start / bucket_seconds).floor() as usize;
+                let last = ((fin / bucket_seconds).ceil() as usize).min(n_buckets);
+                for (i, b) in buckets.iter_mut().enumerate().take(last).skip(first) {
+                    let b_start = i as f64 * bucket_seconds;
+                    let b_end = b_start + bucket_seconds;
+                    *b += (fin.min(b_end) - start.max(b_start)).max(0.0) / bucket_seconds;
+                }
+            }
+            out.insert(host, buckets);
         }
         out
     }

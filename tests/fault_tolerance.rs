@@ -87,7 +87,9 @@ fn seeded_fault_stream_replays_bit_identically() {
 
 /// When the whole testbed dies permanently mid-stream, every job that
 /// needs it afterwards exhausts its retries and is *recorded* failed —
-/// the stream terminates instead of hanging or dropping jobs.
+/// the stream terminates instead of hanging or dropping jobs. This holds
+/// under every scheduling regime: the selfish agents (aware and blind),
+/// the batch queue and fractional sharing.
 #[test]
 fn a_fully_dead_testbed_fails_every_job_and_terminates() {
     let jobs: Vec<JobSpec> = (0..3)
@@ -105,23 +107,37 @@ fn a_fully_dead_testbed_fails_every_job_and_terminates() {
         faults: FaultInjection::Spec(all_hosts_down(650.0, None)),
         ..GridConfig::default()
     };
-    for regime in [Regime::Aware, Regime::Blind] {
+    for (sched, regime) in [
+        (SchedRegime::Selfish, Regime::Aware),
+        (SchedRegime::Selfish, Regime::Blind),
+        (SchedRegime::Batch, Regime::Aware),
+        (SchedRegime::Fractional, Regime::Aware),
+    ] {
         let out = run_regime_jobs_with_sink(
             &GridConfig {
                 regime,
                 ..cfg.clone()
             },
-            SchedRegime::Selfish,
+            sched,
             &jobs,
             s(300.0),
             RetryPolicy::with_attempts(3),
             &mut NoopSink,
         )
         .expect("stream must terminate, not hang");
-        assert_eq!(out.records.len(), jobs.len(), "{regime:?} dropped jobs");
+        assert_eq!(
+            out.records.len(),
+            jobs.len(),
+            "{sched}/{regime:?} dropped jobs"
+        );
         for r in &out.records {
-            assert!(!r.completed, "{regime:?} job {} on a dead fleet", r.id);
+            assert!(
+                !r.completed,
+                "{sched}/{regime:?} job {} on a dead fleet",
+                r.id
+            );
             assert_eq!(r.exec_seconds, 0.0);
+            assert_eq!(r.attempts, 3, "{sched}/{regime:?} job {}", r.id);
         }
         assert_eq!(out.fleet.jobs_failed, jobs.len());
         assert_eq!(out.fleet.jobs_completed, 0);

@@ -4,12 +4,14 @@
 //! mid-stream, the two entry points must agree record for record,
 //! attaching a trace sink must not perturb the outcome, and the service
 //! must refuse a workload that cannot fit in memory before running it.
+//! With the whole testbed down for a while, every regime's trace must
+//! narrate each job's lifecycle exactly as its record tells it.
 
 use apples_grid::workload::{ArrivalProcess, JobKind, JobMix, RetryPolicy, WorkloadConfig};
 use apples_grid::{
     run_regime_jobs_with_sink, FaultInjection, GridConfig, GridError, GridService, SchedRegime,
 };
-use metasim::simtrace::{NoopSink, VecSink};
+use metasim::simtrace::{NoopSink, TraceEvent, VecSink};
 use metasim::{FaultSpec, HostFault, HostId, SimTime};
 
 /// The Figure-2 testbed with host 0 down from t = 900 s to 2 500 s,
@@ -127,5 +129,96 @@ fn service_refuses_a_memory_overcommitted_workload_in_every_regime() {
             sink.events.is_empty(),
             "{regime}: refused run emitted events"
         );
+    }
+}
+
+/// Every lifecycle event a job's trace carries, per kind.
+#[derive(Default)]
+struct Narrated {
+    submitted: u32,
+    dispatched: u32,
+    retried: u32,
+    completed: u32,
+    failed: u32,
+}
+
+/// Under an outage of all eight Figure-2 hosts from 1 250 s to 1 800 s,
+/// every regime retries, gives up and records under the same rules: per
+/// job, one `job_submitted`, one `job_dispatched` per recorded attempt,
+/// one `job_retried` per attempt but the last, and exactly one of
+/// `job_completed` / `job_failed`, matching the record.
+#[test]
+fn lifecycle_events_agree_with_records_in_every_regime() {
+    let cfg = GridConfig {
+        faults: FaultInjection::Spec(FaultSpec {
+            host_faults: (0..8)
+                .map(|h| HostFault {
+                    host: HostId(h),
+                    at: SimTime::from_secs(1250),
+                    recover: Some(SimTime::from_secs(1800)),
+                })
+                .collect(),
+            link_faults: Vec::new(),
+        }),
+        ..GridConfig::default()
+    };
+    let svc = GridService::new(cfg).expect("valid config");
+    for regime in SchedRegime::ALL {
+        let (mut retries, mut failures, mut revocations) = (0, 0, 0);
+        for budget in [1, 3] {
+            let w = WorkloadConfig {
+                retry: RetryPolicy::with_attempts(budget),
+                ..workload()
+            };
+            let mut sink = VecSink::new();
+            let out = svc.run(regime, &w, &mut sink).expect("faulted run");
+            let mut per_job: std::collections::BTreeMap<usize, Narrated> = Default::default();
+            for e in &sink.events {
+                match e {
+                    TraceEvent::JobSubmitted { job, .. } => {
+                        per_job.entry(*job).or_default().submitted += 1
+                    }
+                    TraceEvent::JobDispatched { job, .. } => {
+                        per_job.entry(*job).or_default().dispatched += 1
+                    }
+                    TraceEvent::JobRetried { job, .. } => {
+                        per_job.entry(*job).or_default().retried += 1
+                    }
+                    TraceEvent::JobCompleted { job, .. } => {
+                        per_job.entry(*job).or_default().completed += 1
+                    }
+                    TraceEvent::JobFailed { job, .. } => {
+                        per_job.entry(*job).or_default().failed += 1
+                    }
+                    TraceEvent::PlacementRevoked { .. } => revocations += 1,
+                    _ => {}
+                }
+            }
+            assert_eq!(per_job.len(), out.records.len(), "{regime}/{budget}");
+            for r in &out.records {
+                let n = &per_job[&r.id];
+                let ctx = format!("{regime}, budget {budget}, job {}", r.id);
+                assert_eq!(n.submitted, 1, "{ctx}: submissions");
+                assert_eq!(n.dispatched, r.attempts, "{ctx}: dispatches vs attempts");
+                assert_eq!(n.retried, r.attempts - 1, "{ctx}: retries");
+                assert_eq!(n.completed + n.failed, 1, "{ctx}: one final event");
+                assert_eq!(
+                    n.completed == 1,
+                    r.completed,
+                    "{ctx}: final event vs record"
+                );
+                assert!(r.attempts <= budget, "{ctx}: budget overrun");
+                retries += n.retried;
+                failures += n.failed;
+            }
+        }
+        assert!(retries > 0, "{regime}: the outage forced no retry");
+        assert!(failures > 0, "{regime}: the outage failed no job");
+        if regime == SchedRegime::Fractional {
+            assert!(
+                revocations > 0,
+                "fractional: the outage revoked no resident"
+            );
+        }
     }
 }

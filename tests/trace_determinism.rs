@@ -6,10 +6,10 @@
 use apples_grid::workload::{ArrivalProcess, JobMix, WorkloadConfig};
 use apples_grid::{GridConfig, GridService, SchedRegime};
 use metasim::simtrace::{
-    decision_latency_seconds, first_divergence, host_busy_seconds, host_utilization_timeline,
-    queue_depth_timeline, NoopSink, TraceEvent, TraceSummary, VecSink, WriterSink,
+    first_divergence, EventSink, NoopSink, TraceEvent, TraceSummary, VecSink, WriterSink,
 };
 use metasim::{HostId, SimTime};
+use obsv::{MetricsSink, Phase, Profile, TimeSeries, TimeSeriesSink, WindowMode};
 
 fn s(x: f64) -> SimTime {
     SimTime::from_secs_f64(x)
@@ -153,28 +153,51 @@ fn derived_timelines_match_hand_computed_values() {
         },
     ];
 
-    let busy = host_busy_seconds(&events);
-    assert_eq!(busy.len(), 1);
-    assert!((busy[&HostId(2)] - 4.0).abs() < 1e-9);
+    let profile = Profile::from_events(&events);
+    assert_eq!(profile.hosts.len(), 1);
+    assert!((profile.hosts[&HostId(2)].compute_seconds - 4.0).abs() < 1e-9);
 
-    let util = host_utilization_timeline(&events, 5.0);
-    // Events end at t=14 → ceil(14/5) = 3 buckets of 5 s.
-    let lane = &util[&HostId(2)];
+    // Events end at t=14 → 5 s windows [0,5) [5,10) [10,15).
+    let util = fold(TimeSeriesSink::fixed_seconds(5.0), &events);
+    let lane: Vec<f64> = util.rows.iter().map(|r| r.utilization).collect();
     assert_eq!(lane.len(), 3);
     assert!((lane[0] - 0.0).abs() < 1e-9, "no compute before t=5");
     assert!((lane[1] - 0.8).abs() < 1e-9, "4 of [5,10) busy");
     assert!((lane[2] - 0.0).abs() < 1e-9, "interval closed at t=10");
 
-    // submit(+1) submit(+1) dispatch(-1) retry(+1) dispatch(-1) dispatch(-1)
-    let depth = queue_depth_timeline(&events);
-    let depths: Vec<usize> = depth.iter().map(|&(_, d)| d).collect();
-    assert_eq!(depths, vec![1, 2, 1, 2, 1, 0]);
-    assert_eq!(depth[3].0, s(11.0), "retry re-enters the queue at t=11");
+    // submit(+1) submit(+1) dispatch(-1) retry(+1) dispatch(-1) dispatch(-1);
+    // the compute finish at t=10 leaves the depth unchanged.
+    let depth: Vec<(SimTime, u64)> = fold(TimeSeriesSink::new(WindowMode::EventAligned), &events)
+        .rows
+        .iter()
+        .map(|r| (r.start, r.queue_depth))
+        .collect();
+    let depths: Vec<u64> = depth.iter().map(|&(_, d)| d).collect();
+    assert_eq!(depths, vec![1, 2, 1, 1, 2, 1, 0]);
+    assert_eq!(depth[4], (s(11.0), 2), "retry re-enters the queue at t=11");
 
-    // Decision latency is submit → *first* dispatch; retries don't reset it.
-    let latency = decision_latency_seconds(&events);
-    assert!((latency[&0] - 2.0).abs() < 1e-9);
-    assert!((latency[&1] - 12.0).abs() < 1e-9);
+    // Decision latency is submit → *first* dispatch (the profile's
+    // queue-wait bucket); retries don't reset it. The profile lists
+    // closed jobs only, so close both after the hand-built stream.
+    let mut closed = events.clone();
+    for job in [0, 1] {
+        closed.push(TraceEvent::JobCompleted {
+            job,
+            at: s(20.0),
+            exec_seconds: 1.0,
+        });
+    }
+    let latency = Profile::from_events(&closed);
+    assert!((latency.jobs[0].bucket_seconds(Phase::QueueWait) - 2.0).abs() < 1e-9);
+    assert!((latency.jobs[1].bucket_seconds(Phase::QueueWait) - 12.0).abs() < 1e-9);
+}
+
+/// Feed `events` through a time-series sink and finalize it.
+fn fold(mut sink: TimeSeriesSink, events: &[TraceEvent]) -> TimeSeries {
+    for e in events {
+        sink.record(e.clone());
+    }
+    sink.finalize()
 }
 
 /// The same derived timelines on a real traced run: cross-check them
@@ -187,37 +210,58 @@ fn derived_timelines_are_consistent_on_a_real_trace() {
         .expect("traced stream");
     let events = &sink.events;
 
-    // Busy seconds and the utilization timeline are two renderings of
-    // the same ComputeFinish intervals clipped to t >= 0, so each
-    // host's bucket-sum must equal its busy total.
-    let busy = host_busy_seconds(events);
-    let util = host_utilization_timeline(events, 10.0);
-    assert!(!busy.is_empty(), "no compute events in the stream");
-    assert_eq!(
-        busy.keys().collect::<Vec<_>>(),
-        util.keys().collect::<Vec<_>>()
-    );
-    for (host, lane) in &util {
-        let bucketed: f64 = lane.iter().sum::<f64>() * 10.0;
+    // The metrics counter, the profile's host totals and the 10 s
+    // utilization timeline are three folds of the same ComputeFinish
+    // intervals (all past the warmup, so none is clipped at t = 0):
+    // per host the first two agree, and the timeline's bucket-sum
+    // equals the busy total.
+    let profile = Profile::from_events(events);
+    let mut metrics = MetricsSink::new();
+    for e in events {
+        metrics.record(e.clone());
+    }
+    let busy: f64 = profile.hosts.values().map(|h| h.compute_seconds).sum();
+    assert!(busy > 0.0, "no compute events in the stream");
+    for (host, h) in &profile.hosts {
+        let counted = metrics
+            .registry()
+            .counter_value(
+                "apples_host_busy_seconds_total",
+                &[("host", &host.0.to_string())],
+            )
+            .unwrap_or(0.0);
         assert!(
-            (bucketed - busy[host]).abs() < 1e-6,
-            "host {host:?}: timeline sums to {bucketed} s, busy says {} s",
-            busy[host]
+            (counted - h.compute_seconds).abs() < 1e-6,
+            "host {host:?}: metrics say {counted} s, profile says {} s",
+            h.compute_seconds
+        );
+    }
+    let util = fold(TimeSeriesSink::fixed_seconds(10.0), events);
+    let bucketed: f64 = util.rows.iter().map(|r| r.utilization).sum::<f64>() * 10.0;
+    assert!(
+        (bucketed - busy).abs() < 1e-6,
+        "timeline sums to {bucketed} s, busy says {busy} s"
+    );
+
+    // Queue depth ends at zero: the 300 s stream drains completely.
+    // Rows are keyed by window start, so change points are time-ordered.
+    let depth = fold(TimeSeriesSink::new(WindowMode::EventAligned), events);
+    assert!(!depth.rows.is_empty());
+    assert_eq!(
+        depth.rows.last().map(|r| r.queue_depth),
+        Some(0),
+        "queue must drain"
+    );
+    for w in depth.rows.windows(2) {
+        assert!(
+            w[0].start < w[1].start,
+            "change points must be time-ordered"
         );
     }
 
-    // Queue depth never goes negative (saturating) and ends at zero:
-    // the 300 s stream drains completely.
-    let depth = queue_depth_timeline(events);
-    assert!(!depth.is_empty());
-    assert_eq!(depth.last().map(|&(_, d)| d), Some(0), "queue must drain");
-    for w in depth.windows(2) {
-        assert!(w[0].0 <= w[1].0, "change points must be time-ordered");
-    }
-
-    // Every dispatched job has a non-negative decision latency, and
-    // the count matches the dispatched-job population of the trace.
-    let latency = decision_latency_seconds(events);
+    // Every dispatched job closes with a decision latency (its
+    // queue-wait bucket), and the count matches the dispatched-job
+    // population of the trace.
     let dispatched: std::collections::BTreeSet<usize> = events
         .iter()
         .filter_map(|e| match e {
@@ -225,6 +269,11 @@ fn derived_timelines_are_consistent_on_a_real_trace() {
             _ => None,
         })
         .collect();
-    assert_eq!(latency.len(), dispatched.len());
-    assert!(latency.values().all(|&l| l >= 0.0));
+    assert_eq!(profile.unclosed_jobs, 0);
+    let closed: std::collections::BTreeSet<usize> = profile.jobs.iter().map(|j| j.job).collect();
+    assert_eq!(closed, dispatched);
+    assert!(profile
+        .jobs
+        .iter()
+        .all(|j| j.first_dispatch >= j.submit && j.bucket_seconds(Phase::QueueWait) >= 0.0));
 }
