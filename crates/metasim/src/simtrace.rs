@@ -32,275 +32,454 @@ use crate::host::HostId;
 use crate::net::LinkId;
 use crate::time::SimTime;
 
-/// One structured event from somewhere in the stack.
-///
-/// Every variant carries an absolute simulation timestamp ([`SimTime`],
-/// serialized as integer microseconds) so streams from different layers
-/// interleave on a common clock.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// A worker began its compute phase on a host (one event per worker
-    /// per run, covering all iterations; `work_mflop` is the total).
-    ComputeStart {
-        /// Host executing the worker.
-        host: HostId,
-        /// Co-allocation barrier time when compute began.
-        at: SimTime,
-        /// Total work across all iterations, Mflop.
-        work_mflop: f64,
-    },
-    /// A worker finished its last compute phase.
-    ComputeFinish {
-        /// Host that executed the worker.
-        host: HostId,
-        /// When the final compute phase completed.
-        at: SimTime,
-        /// Total wall-clock seconds spent computing (load and paging
-        /// slowdown included).
-        elapsed_seconds: f64,
-    },
-    /// A transfer was admitted to the network.
-    TransferStart {
-        /// Sending host.
-        from: HostId,
-        /// Receiving host.
-        to: HostId,
-        /// When the transfer entered the network.
-        at: SimTime,
-        /// Payload, MB.
-        mb: f64,
-    },
-    /// A transfer was fully delivered.
-    TransferFinish {
-        /// Sending host.
-        from: HostId,
-        /// Receiving host.
-        to: HostId,
-        /// Delivery time (propagation latency included).
-        at: SimTime,
-        /// Payload, MB.
-        mb: f64,
-        /// Mean achieved bandwidth over the nominal bottleneck
-        /// bandwidth of the route: 1.0 means the flow had the
-        /// bottleneck to itself, lower means contention.
-        contention_share: f64,
-    },
-    /// A host crash was injected into the topology.
-    HostFaultInjected {
-        /// Crashed host.
-        host: HostId,
-        /// Crash time.
-        at: SimTime,
-        /// Recovery time; `None` is a permanent crash.
-        recover: Option<SimTime>,
-    },
-    /// A link outage was injected into the topology.
-    LinkFaultInjected {
-        /// Dark link.
-        link: LinkId,
-        /// Outage start.
-        at: SimTime,
-        /// Recovery time; `None` is a permanent outage.
-        recover: Option<SimTime>,
-    },
-    /// A running placement was revoked mid-run by a host death.
-    PlacementRevoked {
-        /// Host that died under the placement.
-        host: HostId,
-        /// When the loss was detected.
-        at: SimTime,
-    },
-    /// Background load was imposed on a host (a dispatched job making
-    /// the resource busier for everyone after it).
-    LoadImposed {
-        /// Loaded host.
-        host: HostId,
-        /// Load window start.
-        at: SimTime,
-        /// Load window end.
-        until: SimTime,
-        /// Multiplicative availability factor applied over the window.
-        factor: f64,
-    },
-    /// The forecaster published a prediction for a resource and
-    /// immediately scored it against the newly observed value.
-    ForecastIssued {
-        /// Monitored resource, e.g. `cpu:3` or `link:1`.
-        resource: String,
-        /// Wall-clock of the monitoring advance.
-        at: SimTime,
-        /// Prediction made *before* the new samples arrived.
-        predicted: f64,
-        /// Most recent observed value.
-        observed: f64,
-        /// Running mean absolute error of the winning method.
-        error: f64,
-        /// Name of the forecasting method that currently wins.
-        method: String,
-    },
-    /// The coordinator started a selection over a candidate pool.
-    ResourceSelection {
-        /// Decision time.
-        at: SimTime,
-        /// Number of candidate resource sets under consideration.
-        candidates: usize,
-    },
-    /// One candidate schedule was evaluated by the cost model.
-    CandidateConsidered {
-        /// Decision time.
-        at: SimTime,
-        /// Index of the candidate within the selection.
-        index: usize,
-        /// Number of hosts the candidate uses.
-        hosts: usize,
-        /// Cost-model predicted execution seconds.
-        predicted_seconds: f64,
-        /// Objective value (lower is better).
-        objective: f64,
-    },
-    /// The coordinator committed to a schedule.
-    ScheduleChosen {
-        /// Decision time.
-        at: SimTime,
-        /// Index of the winning candidate.
-        index: usize,
-        /// Predicted execution seconds of the winner.
-        predicted_seconds: f64,
-    },
-    /// A schedule was actuated on the simulated testbed.
-    Actuated {
-        /// Actuation start time.
-        at: SimTime,
-        /// Simulated completion time.
-        finish: SimTime,
-        /// Elapsed wall-clock seconds.
-        elapsed_seconds: f64,
-    },
-    /// The rescheduler re-planned at a phase boundary.
-    RescheduleTriggered {
-        /// Re-planning time.
-        at: SimTime,
-        /// Phase number (0-based).
-        phase: usize,
-    },
-    /// The rescheduler compared staying put against migrating.
-    RescheduleDecision {
-        /// Decision time.
-        at: SimTime,
-        /// Predicted seconds for the remaining work if it stays.
-        keep_seconds: f64,
-        /// Predicted seconds for the remaining work if it moves.
-        move_seconds: f64,
-        /// Predicted cost of moving the state, seconds.
-        move_cost_seconds: f64,
-        /// Whether the job migrated.
-        migrated: bool,
-    },
-    /// A job entered the stream.
-    JobSubmitted {
-        /// Submission-order index within the stream.
-        job: usize,
-        /// Job class name.
-        kind: String,
-        /// Absolute submission time.
-        at: SimTime,
-    },
-    /// A job was admitted and its agent dispatched a placement attempt.
-    JobDispatched {
-        /// Job index.
-        job: usize,
-        /// Dispatch time.
-        at: SimTime,
-        /// Attempt number (1 = first try).
-        attempt: u32,
-    },
-    /// A failed attempt was scheduled for retry after backoff.
-    JobRetried {
-        /// Job index.
-        job: usize,
-        /// Time the retry was scheduled (next attempt start).
-        at: SimTime,
-        /// The attempt that failed.
-        attempt: u32,
-    },
-    /// A centralized batch scheduler started a queued job ahead of
-    /// FCFS order because it fits without delaying the head-of-queue
-    /// reservation (EASY backfilling).
-    JobBackfilled {
-        /// Job index.
-        job: usize,
-        /// Backfill start time.
-        at: SimTime,
-        /// The head-of-queue reservation the backfill must not delay.
-        reservation: SimTime,
-    },
-    /// A scheduler measured how long a job's current attempt would run
-    /// on dedicated (uncontended) resources — the what-if baseline a
-    /// fractional-share regime dilutes. Profilers use this to split the
-    /// attempt window into compute vs. contention-wait when the actual
-    /// execution never touches the shared executor trace.
-    JobWorkMeasured {
-        /// Job index.
-        job: usize,
-        /// Measurement time (the dispatch this estimate covers).
-        at: SimTime,
-        /// Predicted dedicated execution seconds for the attempt.
-        dedicated_seconds: f64,
-    },
-    /// A job finished its work.
-    JobCompleted {
-        /// Job index.
-        job: usize,
-        /// Completion time.
-        at: SimTime,
-        /// Admission-to-completion seconds.
-        exec_seconds: f64,
-    },
-    /// A job exhausted its retry budget.
-    JobFailed {
-        /// Job index.
-        job: usize,
-        /// Time of the final failed attempt.
-        at: SimTime,
-        /// Attempts made before giving up.
-        attempts: u32,
-    },
+/// Declares the trace taxonomy once. Each row of the invocation below is
+/// one event kind: its variant, its JSON `kind` string and its fields,
+/// `at` first. From the table this generates the [`TraceEvent`] enum,
+/// [`KINDS`], and [`TraceEvent::kind_index`], [`TraceEvent::kind`],
+/// [`TraceEvent::at`], [`TraceEvent::to_json`] and
+/// [`TraceEvent::from_json`]. A field's JSON key is its name unless the
+/// row gives another with `as "key"`; its type's [`JsonField`] impl
+/// spells its value.
+macro_rules! trace_events {
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    (
+        $(#[$meta:meta])*
+        pub enum TraceEvent {$(
+            $(#[$vmeta:meta])*
+            $variant:ident = $kind:literal {
+                $(#[$atmeta:meta])*
+                at: SimTime,
+                $($(#[$fmeta:meta])* $field:ident $(as $key:literal)?: $ty:ty,)+
+            },
+        )+}
+    ) => {
+        $(#[$meta])*
+        pub enum TraceEvent {$(
+            $(#[$vmeta])*
+            $variant {
+                $(#[$atmeta])*
+                at: SimTime,
+                $($(#[$fmeta])* $field: $ty,)+
+            },
+        )+}
+
+        /// Every event kind's `kind` string, in taxonomy order: the order
+        /// of [`TraceEvent::kind_index`], and of per-kind exports.
+        pub const KINDS: [&str; [$($kind),+].len()] = [$($kind),+];
+
+        impl TraceEvent {
+            /// Position of the event's kind in [`KINDS`].
+            pub fn kind_index(&self) -> usize {
+                enum Index {
+                    $($variant),+
+                }
+                match self {
+                    $(TraceEvent::$variant { .. } => Index::$variant as usize,)+
+                }
+            }
+
+            /// The event's absolute timestamp.
+            pub fn at(&self) -> SimTime {
+                match self {
+                    $(TraceEvent::$variant { at, .. })|+ => *at,
+                }
+            }
+
+            /// Serialize the event as one line of JSON (hand-rolled; the
+            /// workspace carries no serialization dependency): `kind`,
+            /// then `at`, then the other fields in table order.
+            /// [`SimTime`] fields are integer microseconds so streams
+            /// compare byte-exactly.
+            pub fn to_json(&self) -> String {
+                let mut out = String::new();
+                let _ = write!(out, "{{\"kind\":\"{}\",\"at\":{}", self.kind(), self.at().0);
+                match self {$(
+                    TraceEvent::$variant { $($field,)+ .. } => {$(
+                        out.push_str(concat!(",\"", trace_events!(@key $field $($key)?), "\":"));
+                        $field.render(&mut out);
+                    )+}
+                )+}
+                out.push('}');
+                out
+            }
+
+            /// Parse one JSONL line produced by [`TraceEvent::to_json`]
+            /// back into an event.
+            ///
+            /// Returns `None` when the line has no recognizable `kind`,
+            /// an unknown kind, or a field that is missing or does not
+            /// parse as its type, so consumers of foreign or truncated
+            /// traces can skip bad lines and keep going. Numeric fields
+            /// serialized as `null` (non-finite floats) come back as NaN,
+            /// preserving the event rather than dropping it.
+            pub fn from_json(line: &str) -> Option<TraceEvent> {
+                let kind = extract_json_str(line, "kind")?;
+                let at = SimTime::parse(line, "at")?;
+                Some(match kind.as_str() {
+                    $($kind => TraceEvent::$variant {
+                        at,
+                        $($field: <$ty>::parse(line, trace_events!(@key $field $($key)?))?,)+
+                    },)+
+                    _ => return None,
+                })
+            }
+        }
+    };
 }
 
-/// Escape a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+trace_events! {
+    /// One structured event from somewhere in the stack.
+    ///
+    /// Every variant carries an absolute simulation timestamp ([`SimTime`],
+    /// serialized as integer microseconds) so streams from different layers
+    /// interleave on a common clock.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum TraceEvent {
+        /// A worker began its compute phase on a host (one event per worker
+        /// per run, covering all iterations; `work_mflop` is the total).
+        ComputeStart = "compute_start" {
+            /// Co-allocation barrier time when compute began.
+            at: SimTime,
+            /// Host executing the worker.
+            host: HostId,
+            /// Total work across all iterations, Mflop.
+            work_mflop: f64,
+        },
+        /// A worker finished its last compute phase.
+        ComputeFinish = "compute_finish" {
+            /// When the final compute phase completed.
+            at: SimTime,
+            /// Host that executed the worker.
+            host: HostId,
+            /// Total wall-clock seconds spent computing (load and paging
+            /// slowdown included).
+            elapsed_seconds: f64,
+        },
+        /// A transfer was admitted to the network.
+        TransferStart = "transfer_start" {
+            /// When the transfer entered the network.
+            at: SimTime,
+            /// Sending host.
+            from: HostId,
+            /// Receiving host.
+            to: HostId,
+            /// Payload, MB.
+            mb: f64,
+        },
+        /// A transfer was fully delivered.
+        TransferFinish = "transfer_finish" {
+            /// Delivery time (propagation latency included).
+            at: SimTime,
+            /// Sending host.
+            from: HostId,
+            /// Receiving host.
+            to: HostId,
+            /// Payload, MB.
+            mb: f64,
+            /// Mean achieved bandwidth over the nominal bottleneck
+            /// bandwidth of the route: 1.0 means the flow had the
+            /// bottleneck to itself, lower means contention.
+            contention_share: f64,
+        },
+        /// A host crash was injected into the topology.
+        HostFaultInjected = "host_fault_injected" {
+            /// Crash time.
+            at: SimTime,
+            /// Crashed host.
+            host: HostId,
+            /// Recovery time; `None` is a permanent crash.
+            recover: Option<SimTime>,
+        },
+        /// A link outage was injected into the topology.
+        LinkFaultInjected = "link_fault_injected" {
+            /// Outage start.
+            at: SimTime,
+            /// Dark link.
+            link: LinkId,
+            /// Recovery time; `None` is a permanent outage.
+            recover: Option<SimTime>,
+        },
+        /// A running placement was revoked mid-run by a host death.
+        PlacementRevoked = "placement_revoked" {
+            /// When the loss was detected.
+            at: SimTime,
+            /// Host that died under the placement.
+            host: HostId,
+        },
+        /// Background load was imposed on a host (a dispatched job making
+        /// the resource busier for everyone after it).
+        LoadImposed = "load_imposed" {
+            /// Load window start.
+            at: SimTime,
+            /// Loaded host.
+            host: HostId,
+            /// Load window end.
+            until: SimTime,
+            /// Multiplicative availability factor applied over the window.
+            factor: f64,
+        },
+        /// The forecaster published a prediction for a resource and
+        /// immediately scored it against the newly observed value.
+        ForecastIssued = "forecast_issued" {
+            /// Wall-clock of the monitoring advance.
+            at: SimTime,
+            /// Monitored resource, e.g. `cpu:3` or `link:1`.
+            resource: String,
+            /// Prediction made *before* the new samples arrived.
+            predicted: f64,
+            /// Most recent observed value.
+            observed: f64,
+            /// Running mean absolute error of the winning method.
+            error: f64,
+            /// Name of the forecasting method that currently wins.
+            method: String,
+        },
+        /// The coordinator started a selection over a candidate pool.
+        ResourceSelection = "resource_selection" {
+            /// Decision time.
+            at: SimTime,
+            /// Number of candidate resource sets under consideration.
+            candidates: usize,
+        },
+        /// One candidate schedule was evaluated by the cost model.
+        CandidateConsidered = "candidate_considered" {
+            /// Decision time.
+            at: SimTime,
+            /// Index of the candidate within the selection.
+            index: usize,
+            /// Number of hosts the candidate uses.
+            hosts: usize,
+            /// Cost-model predicted execution seconds.
+            predicted_seconds: f64,
+            /// Objective value (lower is better).
+            objective: f64,
+        },
+        /// The coordinator committed to a schedule.
+        ScheduleChosen = "schedule_chosen" {
+            /// Decision time.
+            at: SimTime,
+            /// Index of the winning candidate.
+            index: usize,
+            /// Predicted execution seconds of the winner.
+            predicted_seconds: f64,
+        },
+        /// A schedule was actuated on the simulated testbed.
+        Actuated = "actuated" {
+            /// Actuation start time.
+            at: SimTime,
+            /// Simulated completion time.
+            finish: SimTime,
+            /// Elapsed wall-clock seconds.
+            elapsed_seconds: f64,
+        },
+        /// The rescheduler re-planned at a phase boundary.
+        RescheduleTriggered = "reschedule_triggered" {
+            /// Re-planning time.
+            at: SimTime,
+            /// Phase number (0-based).
+            phase: usize,
+        },
+        /// The rescheduler compared staying put against migrating.
+        RescheduleDecision = "reschedule_decision" {
+            /// Decision time.
+            at: SimTime,
+            /// Predicted seconds for the remaining work if it stays.
+            keep_seconds: f64,
+            /// Predicted seconds for the remaining work if it moves.
+            move_seconds: f64,
+            /// Predicted cost of moving the state, seconds.
+            move_cost_seconds: f64,
+            /// Whether the job migrated.
+            migrated: bool,
+        },
+        /// A job entered the stream.
+        JobSubmitted = "job_submitted" {
+            /// Absolute submission time.
+            at: SimTime,
+            /// Submission-order index within the stream.
+            job: usize,
+            /// Job class name (the JSON key is `class`, since `kind` names
+            /// the event).
+            kind as "class": String,
+        },
+        /// A job was admitted and its agent dispatched a placement attempt.
+        JobDispatched = "job_dispatched" {
+            /// Dispatch time.
+            at: SimTime,
+            /// Job index.
+            job: usize,
+            /// Attempt number (1 = first try).
+            attempt: u32,
+        },
+        /// A failed attempt was scheduled for retry after backoff.
+        JobRetried = "job_retried" {
+            /// Time the retry was scheduled (next attempt start).
+            at: SimTime,
+            /// Job index.
+            job: usize,
+            /// The attempt that failed.
+            attempt: u32,
+        },
+        /// A centralized batch scheduler started a queued job ahead of
+        /// FCFS order because it fits without delaying the head-of-queue
+        /// reservation (EASY backfilling).
+        JobBackfilled = "job_backfilled" {
+            /// Backfill start time.
+            at: SimTime,
+            /// Job index.
+            job: usize,
+            /// The head-of-queue reservation the backfill must not delay.
+            reservation: SimTime,
+        },
+        /// A scheduler measured how long a job's current attempt would run
+        /// on dedicated (uncontended) resources — the what-if baseline a
+        /// fractional-share regime dilutes. Profilers use this to split the
+        /// attempt window into compute vs. contention-wait when the actual
+        /// execution never touches the shared executor trace.
+        JobWorkMeasured = "job_work_measured" {
+            /// Measurement time (the dispatch this estimate covers).
+            at: SimTime,
+            /// Job index.
+            job: usize,
+            /// Predicted dedicated execution seconds for the attempt.
+            dedicated_seconds: f64,
+        },
+        /// A job finished its work.
+        JobCompleted = "job_completed" {
+            /// Completion time.
+            at: SimTime,
+            /// Job index.
+            job: usize,
+            /// Admission-to-completion seconds.
+            exec_seconds: f64,
+        },
+        /// A job exhausted its retry budget.
+        JobFailed = "job_failed" {
+            /// Time of the final failed attempt.
+            at: SimTime,
+            /// Job index.
+            job: usize,
+            /// Attempts made before giving up.
+            attempts: u32,
+        },
+    }
+}
+
+/// How one field type is spelled in a trace line: `render` writes the
+/// value after its `"key":`, `parse` reads it back from the line. A
+/// missing key, or a value that does not parse as the type, is `None`
+/// and fails the whole line.
+trait JsonField: Sized {
+    fn render(&self, out: &mut String);
+    fn parse(line: &str, key: &str) -> Option<Self>;
+}
+
+impl JsonField for usize {
+    fn render(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn parse(line: &str, key: &str) -> Option<Self> {
+        usize::try_from(extract_json_u64(line, key)?).ok()
+    }
+}
+
+impl JsonField for u32 {
+    fn render(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn parse(line: &str, key: &str) -> Option<Self> {
+        u32::try_from(extract_json_u64(line, key)?).ok()
+    }
+}
+
+impl JsonField for HostId {
+    fn render(&self, out: &mut String) {
+        self.0.render(out);
+    }
+    fn parse(line: &str, key: &str) -> Option<Self> {
+        usize::parse(line, key).map(HostId)
+    }
+}
+
+impl JsonField for LinkId {
+    fn render(&self, out: &mut String) {
+        self.0.render(out);
+    }
+    fn parse(line: &str, key: &str) -> Option<Self> {
+        usize::parse(line, key).map(LinkId)
+    }
+}
+
+impl JsonField for SimTime {
+    fn render(&self, out: &mut String) {
+        let _ = write!(out, "{}", self.0);
+    }
+    fn parse(line: &str, key: &str) -> Option<Self> {
+        extract_json_u64(line, key).map(SimTime)
+    }
+}
+
+/// `null` (and only `null`) is `None`; a missing key fails the line.
+impl JsonField for Option<SimTime> {
+    fn render(&self, out: &mut String) {
+        match self {
+            Some(t) => t.render(out),
+            None => out.push_str("null"),
         }
     }
-    out
-}
-
-/// Format an `f64` as a JSON value (`null` for non-finite inputs, which
-/// JSON cannot represent).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+    fn parse(line: &str, key: &str) -> Option<Self> {
+        if json_value(line, key)?.starts_with("null") {
+            Some(None)
+        } else {
+            SimTime::parse(line, key).map(Some)
+        }
     }
 }
 
-/// Format an optional [`SimTime`] as integer microseconds or `null`.
-fn json_opt_time(t: Option<SimTime>) -> String {
-    match t {
-        Some(t) => format!("{}", t.0),
-        None => "null".to_string(),
+/// Non-finite values, which JSON cannot represent, render as `null`.
+impl JsonField for f64 {
+    fn render(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self}");
+        } else {
+            out.push_str("null");
+        }
+    }
+    fn parse(line: &str, key: &str) -> Option<Self> {
+        extract_json_f64(line, key)
+    }
+}
+
+impl JsonField for bool {
+    fn render(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn parse(line: &str, key: &str) -> Option<Self> {
+        extract_json_bool(line, key)
+    }
+}
+
+impl JsonField for String {
+    fn render(&self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+    fn parse(line: &str, key: &str) -> Option<Self> {
+        extract_json_str(line, key)
     }
 }
 
@@ -308,386 +487,7 @@ impl TraceEvent {
     /// Stable snake_case name of the event kind (the JSON `kind`
     /// field).
     pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::ComputeStart { .. } => "compute_start",
-            TraceEvent::ComputeFinish { .. } => "compute_finish",
-            TraceEvent::TransferStart { .. } => "transfer_start",
-            TraceEvent::TransferFinish { .. } => "transfer_finish",
-            TraceEvent::HostFaultInjected { .. } => "host_fault_injected",
-            TraceEvent::LinkFaultInjected { .. } => "link_fault_injected",
-            TraceEvent::PlacementRevoked { .. } => "placement_revoked",
-            TraceEvent::LoadImposed { .. } => "load_imposed",
-            TraceEvent::ForecastIssued { .. } => "forecast_issued",
-            TraceEvent::ResourceSelection { .. } => "resource_selection",
-            TraceEvent::CandidateConsidered { .. } => "candidate_considered",
-            TraceEvent::ScheduleChosen { .. } => "schedule_chosen",
-            TraceEvent::Actuated { .. } => "actuated",
-            TraceEvent::RescheduleTriggered { .. } => "reschedule_triggered",
-            TraceEvent::RescheduleDecision { .. } => "reschedule_decision",
-            TraceEvent::JobSubmitted { .. } => "job_submitted",
-            TraceEvent::JobDispatched { .. } => "job_dispatched",
-            TraceEvent::JobRetried { .. } => "job_retried",
-            TraceEvent::JobBackfilled { .. } => "job_backfilled",
-            TraceEvent::JobWorkMeasured { .. } => "job_work_measured",
-            TraceEvent::JobCompleted { .. } => "job_completed",
-            TraceEvent::JobFailed { .. } => "job_failed",
-        }
-    }
-
-    /// The event's absolute timestamp.
-    pub fn at(&self) -> SimTime {
-        match *self {
-            TraceEvent::ComputeStart { at, .. }
-            | TraceEvent::ComputeFinish { at, .. }
-            | TraceEvent::TransferStart { at, .. }
-            | TraceEvent::TransferFinish { at, .. }
-            | TraceEvent::HostFaultInjected { at, .. }
-            | TraceEvent::LinkFaultInjected { at, .. }
-            | TraceEvent::PlacementRevoked { at, .. }
-            | TraceEvent::LoadImposed { at, .. }
-            | TraceEvent::ForecastIssued { at, .. }
-            | TraceEvent::ResourceSelection { at, .. }
-            | TraceEvent::CandidateConsidered { at, .. }
-            | TraceEvent::ScheduleChosen { at, .. }
-            | TraceEvent::Actuated { at, .. }
-            | TraceEvent::RescheduleTriggered { at, .. }
-            | TraceEvent::RescheduleDecision { at, .. }
-            | TraceEvent::JobSubmitted { at, .. }
-            | TraceEvent::JobDispatched { at, .. }
-            | TraceEvent::JobRetried { at, .. }
-            | TraceEvent::JobBackfilled { at, .. }
-            | TraceEvent::JobWorkMeasured { at, .. }
-            | TraceEvent::JobCompleted { at, .. }
-            | TraceEvent::JobFailed { at, .. } => at,
-        }
-    }
-
-    /// Serialize the event as one line of JSON (hand-rolled; the
-    /// workspace carries no serialization dependency). [`SimTime`]
-    /// fields are integer microseconds so streams compare byte-exactly.
-    pub fn to_json(&self) -> String {
-        let kind = self.kind();
-        match self {
-            TraceEvent::ComputeStart {
-                host,
-                at,
-                work_mflop,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"host\":{},\"work_mflop\":{}}}",
-                at.0,
-                host.0,
-                json_f64(*work_mflop)
-            ),
-            TraceEvent::ComputeFinish {
-                host,
-                at,
-                elapsed_seconds,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"host\":{},\"elapsed_seconds\":{}}}",
-                at.0,
-                host.0,
-                json_f64(*elapsed_seconds)
-            ),
-            TraceEvent::TransferStart { from, to, at, mb } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"from\":{},\"to\":{},\"mb\":{}}}",
-                at.0,
-                from.0,
-                to.0,
-                json_f64(*mb)
-            ),
-            TraceEvent::TransferFinish {
-                from,
-                to,
-                at,
-                mb,
-                contention_share,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"from\":{},\"to\":{},\"mb\":{},\
-                 \"contention_share\":{}}}",
-                at.0,
-                from.0,
-                to.0,
-                json_f64(*mb),
-                json_f64(*contention_share)
-            ),
-            TraceEvent::HostFaultInjected { host, at, recover } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"host\":{},\"recover\":{}}}",
-                at.0,
-                host.0,
-                json_opt_time(*recover)
-            ),
-            TraceEvent::LinkFaultInjected { link, at, recover } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"link\":{},\"recover\":{}}}",
-                at.0,
-                link.0,
-                json_opt_time(*recover)
-            ),
-            TraceEvent::PlacementRevoked { host, at } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"host\":{}}}",
-                at.0, host.0
-            ),
-            TraceEvent::LoadImposed {
-                host,
-                at,
-                until,
-                factor,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"host\":{},\"until\":{},\"factor\":{}}}",
-                at.0,
-                host.0,
-                until.0,
-                json_f64(*factor)
-            ),
-            TraceEvent::ForecastIssued {
-                resource,
-                at,
-                predicted,
-                observed,
-                error,
-                method,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"resource\":\"{}\",\"predicted\":{},\
-                 \"observed\":{},\"error\":{},\"method\":\"{}\"}}",
-                at.0,
-                json_escape(resource),
-                json_f64(*predicted),
-                json_f64(*observed),
-                json_f64(*error),
-                json_escape(method)
-            ),
-            TraceEvent::ResourceSelection { at, candidates } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"candidates\":{candidates}}}",
-                at.0
-            ),
-            TraceEvent::CandidateConsidered {
-                at,
-                index,
-                hosts,
-                predicted_seconds,
-                objective,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"index\":{index},\"hosts\":{hosts},\
-                 \"predicted_seconds\":{},\"objective\":{}}}",
-                at.0,
-                json_f64(*predicted_seconds),
-                json_f64(*objective)
-            ),
-            TraceEvent::ScheduleChosen {
-                at,
-                index,
-                predicted_seconds,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"index\":{index},\"predicted_seconds\":{}}}",
-                at.0,
-                json_f64(*predicted_seconds)
-            ),
-            TraceEvent::Actuated {
-                at,
-                finish,
-                elapsed_seconds,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"finish\":{},\"elapsed_seconds\":{}}}",
-                at.0,
-                finish.0,
-                json_f64(*elapsed_seconds)
-            ),
-            TraceEvent::RescheduleTriggered { at, phase } => {
-                format!("{{\"kind\":\"{kind}\",\"at\":{},\"phase\":{phase}}}", at.0)
-            }
-            TraceEvent::RescheduleDecision {
-                at,
-                keep_seconds,
-                move_seconds,
-                move_cost_seconds,
-                migrated,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"keep_seconds\":{},\"move_seconds\":{},\
-                 \"move_cost_seconds\":{},\"migrated\":{migrated}}}",
-                at.0,
-                json_f64(*keep_seconds),
-                json_f64(*move_seconds),
-                json_f64(*move_cost_seconds)
-            ),
-            TraceEvent::JobSubmitted { job, kind: k, at } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"job\":{job},\"class\":\"{}\"}}",
-                at.0,
-                json_escape(k)
-            ),
-            TraceEvent::JobDispatched { job, at, attempt } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"job\":{job},\"attempt\":{attempt}}}",
-                at.0
-            ),
-            TraceEvent::JobRetried { job, at, attempt } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"job\":{job},\"attempt\":{attempt}}}",
-                at.0
-            ),
-            TraceEvent::JobBackfilled {
-                job,
-                at,
-                reservation,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"job\":{job},\"reservation\":{}}}",
-                at.0, reservation.0
-            ),
-            TraceEvent::JobWorkMeasured {
-                job,
-                at,
-                dedicated_seconds,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"job\":{job},\"dedicated_seconds\":{}}}",
-                at.0,
-                json_f64(*dedicated_seconds)
-            ),
-            TraceEvent::JobCompleted {
-                job,
-                at,
-                exec_seconds,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"job\":{job},\"exec_seconds\":{}}}",
-                at.0,
-                json_f64(*exec_seconds)
-            ),
-            TraceEvent::JobFailed { job, at, attempts } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"job\":{job},\"attempts\":{attempts}}}",
-                at.0
-            ),
-        }
-    }
-
-    /// Parse one JSONL line produced by [`TraceEvent::to_json`] back
-    /// into an event.
-    ///
-    /// Returns `None` when the line has no recognizable `kind`, an
-    /// unknown kind, or a missing required field, so consumers of
-    /// foreign or truncated traces can skip bad lines and keep going.
-    /// Numeric fields serialized as `null` (non-finite floats) come
-    /// back as NaN, preserving the event rather than dropping it.
-    pub fn from_json(line: &str) -> Option<TraceEvent> {
-        let kind = extract_json_str(line, "kind")?;
-        let at = SimTime(extract_json_u64(line, "at")?);
-        let host = |key: &str| Some(HostId(extract_json_u64(line, key)? as usize));
-        let idx = |key: &str| Some(extract_json_u64(line, key)? as usize);
-        Some(match kind.as_str() {
-            "compute_start" => TraceEvent::ComputeStart {
-                host: host("host")?,
-                at,
-                work_mflop: extract_json_f64(line, "work_mflop")?,
-            },
-            "compute_finish" => TraceEvent::ComputeFinish {
-                host: host("host")?,
-                at,
-                elapsed_seconds: extract_json_f64(line, "elapsed_seconds")?,
-            },
-            "transfer_start" => TraceEvent::TransferStart {
-                from: host("from")?,
-                to: host("to")?,
-                at,
-                mb: extract_json_f64(line, "mb")?,
-            },
-            "transfer_finish" => TraceEvent::TransferFinish {
-                from: host("from")?,
-                to: host("to")?,
-                at,
-                mb: extract_json_f64(line, "mb")?,
-                contention_share: extract_json_f64(line, "contention_share")?,
-            },
-            "host_fault_injected" => TraceEvent::HostFaultInjected {
-                host: host("host")?,
-                at,
-                recover: extract_json_u64(line, "recover").map(SimTime),
-            },
-            "link_fault_injected" => TraceEvent::LinkFaultInjected {
-                link: LinkId(extract_json_u64(line, "link")? as usize),
-                at,
-                recover: extract_json_u64(line, "recover").map(SimTime),
-            },
-            "placement_revoked" => TraceEvent::PlacementRevoked {
-                host: host("host")?,
-                at,
-            },
-            "load_imposed" => TraceEvent::LoadImposed {
-                host: host("host")?,
-                at,
-                until: SimTime(extract_json_u64(line, "until")?),
-                factor: extract_json_f64(line, "factor")?,
-            },
-            "forecast_issued" => TraceEvent::ForecastIssued {
-                resource: extract_json_str(line, "resource")?,
-                at,
-                predicted: extract_json_f64(line, "predicted")?,
-                observed: extract_json_f64(line, "observed")?,
-                error: extract_json_f64(line, "error")?,
-                method: extract_json_str(line, "method")?,
-            },
-            "resource_selection" => TraceEvent::ResourceSelection {
-                at,
-                candidates: idx("candidates")?,
-            },
-            "candidate_considered" => TraceEvent::CandidateConsidered {
-                at,
-                index: idx("index")?,
-                hosts: idx("hosts")?,
-                predicted_seconds: extract_json_f64(line, "predicted_seconds")?,
-                objective: extract_json_f64(line, "objective")?,
-            },
-            "schedule_chosen" => TraceEvent::ScheduleChosen {
-                at,
-                index: idx("index")?,
-                predicted_seconds: extract_json_f64(line, "predicted_seconds")?,
-            },
-            "actuated" => TraceEvent::Actuated {
-                at,
-                finish: SimTime(extract_json_u64(line, "finish")?),
-                elapsed_seconds: extract_json_f64(line, "elapsed_seconds")?,
-            },
-            "reschedule_triggered" => TraceEvent::RescheduleTriggered {
-                at,
-                phase: idx("phase")?,
-            },
-            "reschedule_decision" => TraceEvent::RescheduleDecision {
-                at,
-                keep_seconds: extract_json_f64(line, "keep_seconds")?,
-                move_seconds: extract_json_f64(line, "move_seconds")?,
-                move_cost_seconds: extract_json_f64(line, "move_cost_seconds")?,
-                migrated: extract_json_bool(line, "migrated")?,
-            },
-            "job_submitted" => TraceEvent::JobSubmitted {
-                job: idx("job")?,
-                kind: extract_json_str(line, "class")?,
-                at,
-            },
-            "job_dispatched" => TraceEvent::JobDispatched {
-                job: idx("job")?,
-                at,
-                attempt: extract_json_u64(line, "attempt")? as u32,
-            },
-            "job_retried" => TraceEvent::JobRetried {
-                job: idx("job")?,
-                at,
-                attempt: extract_json_u64(line, "attempt")? as u32,
-            },
-            "job_backfilled" => TraceEvent::JobBackfilled {
-                job: idx("job")?,
-                at,
-                reservation: SimTime(extract_json_u64(line, "reservation")?),
-            },
-            "job_work_measured" => TraceEvent::JobWorkMeasured {
-                job: idx("job")?,
-                at,
-                dedicated_seconds: extract_json_f64(line, "dedicated_seconds")?,
-            },
-            "job_completed" => TraceEvent::JobCompleted {
-                job: idx("job")?,
-                at,
-                exec_seconds: extract_json_f64(line, "exec_seconds")?,
-            },
-            "job_failed" => TraceEvent::JobFailed {
-                job: idx("job")?,
-                at,
-                attempts: extract_json_u64(line, "attempts")? as u32,
-            },
-            _ => return None,
-        })
+        KINDS[self.kind_index()]
     }
 
     /// Parse a whole JSONL stream, skipping unparseable lines (see
@@ -810,40 +610,36 @@ pub struct TraceSummary {
     pub first_at: Option<SimTime>,
     /// Latest event timestamp.
     pub last_at: Option<SimTime>,
+    /// Non-empty JSONL lines that did not parse as an event (see
+    /// [`TraceEvent::from_json`]); always 0 for an in-memory stream.
+    pub skipped_lines: usize,
 }
 
 impl TraceSummary {
     /// Summarize an in-memory event stream.
     pub fn from_events(events: &[TraceEvent]) -> TraceSummary {
-        Self::from_kinds(events.iter().map(|e| (e.kind().to_string(), e.at())))
-    }
-
-    /// Summarize a JSONL stream produced by [`WriterSink`]. Lines that
-    /// do not carry a recognizable `kind` field are ignored.
-    pub fn from_jsonl(text: &str) -> TraceSummary {
-        Self::from_kinds(text.lines().filter_map(|line| {
-            let kind = extract_json_str(line, "kind")?;
-            let at = extract_json_u64(line, "at").unwrap_or(0);
-            Some((kind, SimTime(at)))
-        }))
-    }
-
-    fn from_kinds(kinds: impl Iterator<Item = (String, SimTime)>) -> TraceSummary {
-        let mut by_kind: BTreeMap<String, usize> = BTreeMap::new();
-        let mut events = 0usize;
-        let mut first_at: Option<SimTime> = None;
-        let mut last_at: Option<SimTime> = None;
-        for (kind, at) in kinds {
-            *by_kind.entry(kind).or_insert(0) += 1;
-            events += 1;
-            first_at = Some(first_at.map_or(at, |f| f.min(at)));
-            last_at = Some(last_at.map_or(at, |l| l.max(at)));
+        let mut counts = [0usize; KINDS.len()];
+        for e in events {
+            counts[e.kind_index()] += 1;
         }
+        let by_kind = KINDS.iter().zip(counts).filter(|&(_, n)| n > 0);
         TraceSummary {
-            events,
-            by_kind,
-            first_at,
-            last_at,
+            events: events.len(),
+            by_kind: by_kind.map(|(k, n)| (k.to_string(), n)).collect(),
+            first_at: events.iter().map(TraceEvent::at).min(),
+            last_at: events.iter().map(TraceEvent::at).max(),
+            skipped_lines: 0,
+        }
+    }
+
+    /// Summarize a JSONL stream produced by [`WriterSink`], parsed with
+    /// [`TraceEvent::from_jsonl`]; lines that do not parse are counted
+    /// in [`TraceSummary::skipped_lines`] and skipped.
+    pub fn from_jsonl(text: &str) -> TraceSummary {
+        let (events, skipped_lines) = TraceEvent::from_jsonl(text);
+        TraceSummary {
+            skipped_lines,
+            ..Self::from_events(&events)
         }
     }
 
@@ -863,23 +659,32 @@ impl TraceSummary {
         for (kind, n) in &self.by_kind {
             let _ = writeln!(out, "  {kind:width$}  {n}");
         }
+        if self.skipped_lines > 0 {
+            let _ = writeln!(
+                out,
+                "note: {} unparseable line(s) skipped",
+                self.skipped_lines
+            );
+        }
         out
     }
 
     /// The summary as a JSON object.
     pub fn to_json(&self) -> String {
-        let kinds: Vec<String> = self
-            .by_kind
-            .iter()
-            .map(|(k, n)| format!("\"{}\":{n}", json_escape(k)))
-            .collect();
-        format!(
-            "{{\"events\":{},\"first_at\":{},\"last_at\":{},\"by_kind\":{{{}}}}}",
-            self.events,
-            json_opt_time(self.first_at),
-            json_opt_time(self.last_at),
-            kinds.join(",")
-        )
+        let mut out = format!("{{\"events\":{},\"first_at\":", self.events);
+        self.first_at.render(&mut out);
+        out.push_str(",\"last_at\":");
+        self.last_at.render(&mut out);
+        out.push_str(",\"by_kind\":{");
+        for (i, (kind, n)) in self.by_kind.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            kind.render(&mut out);
+            let _ = write!(out, ":{n}");
+        }
+        out.push_str("}}");
+        out
     }
 }
 
@@ -891,7 +696,7 @@ fn extract_json_str(line: &str, key: &str) -> Option<String> {
     let start = line.find(&pat)? + pat.len();
     let rest = &line[start..];
     // Unescape up to the closing quote, honoring the escapes
-    // `json_escape` produces.
+    // `String::render` produces.
     let mut out = String::new();
     let mut chars = rest.chars();
     loop {
@@ -915,24 +720,24 @@ fn extract_json_str(line: &str, key: &str) -> Option<String> {
     }
 }
 
+/// The rest of a one-line JSON object after its first `"key":`.
+fn json_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\":");
+    Some(&line[line.find(&pat)? + pat.len()..])
+}
+
 /// Pull a `"key":123` integer field out of a one-line JSON object.
 fn extract_json_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+    let rest = json_value(line, key)?;
+    let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+    rest[..digits].parse().ok()
 }
 
 /// Pull a `"key":<number>` float field out of a one-line JSON object.
-/// A `null` value (how [`json_f64`] spells non-finite floats) parses as
+/// A `null` value (how non-finite floats are rendered) parses as
 /// NaN so the enclosing event survives the round-trip.
 fn extract_json_f64(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
+    let rest = json_value(line, key)?;
     if rest.starts_with("null") {
         return Some(f64::NAN);
     }
@@ -945,9 +750,7 @@ fn extract_json_f64(line: &str, key: &str) -> Option<f64> {
 
 /// Pull a `"key":true|false` field out of a one-line JSON object.
 fn extract_json_bool(line: &str, key: &str) -> Option<bool> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
+    let rest = json_value(line, key)?;
     if rest.starts_with("true") {
         Some(true)
     } else if rest.starts_with("false") {
@@ -1097,7 +900,23 @@ mod tests {
         let sum2 = TraceSummary::from_jsonl(&jsonl);
         assert_eq!(sum, sum2);
         assert!(sum.render().contains("job_completed"));
+        assert!(!sum.render().contains("skipped"));
         assert!(sum.to_json().contains("\"events\":3"));
+
+        // The summary reads JSONL with the event parser: a truncated
+        // line and an unknown kind are skipped, not counted.
+        let mixed = "{\"kind\":\"job_dispatched\",\"at\":9000000,\"job\":0,\"attempt\":1}\n\
+                     {\"kind\":\"job_dispatched\"\n\
+                     {\"kind\":\"no_such_kind\",\"at\":0}\n";
+        let sum3 = TraceSummary::from_jsonl(mixed);
+        assert_eq!(sum3.events, 1);
+        assert_eq!(sum3.skipped_lines, 2);
+        assert_eq!(sum3.first_at, Some(s(9.0)));
+        assert_eq!(
+            sum3.render(),
+            "events: 1\nspan: 9.000s .. 9.000s\n  job_dispatched  1\n\
+             note: 2 unparseable line(s) skipped\n"
+        );
     }
 
     #[test]

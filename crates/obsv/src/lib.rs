@@ -49,4 +49,8 @@ pub use profile::{ExecShares, HostProfile, JobProfile, Phase, Profile, PHASES};
 pub use registry::{percentile, Histogram, Registry};
 pub use sink::{FanoutSink, MetricsSink};
 pub use span::{Cause, Composition, JobSpanTree, Span, SpanKind, SpanTree};
-pub use timeseries::{Row, TimeSeries, TimeSeriesSink, WindowMode, KINDS};
+pub use timeseries::{Row, TimeSeries, TimeSeriesSink, WindowMode};
+
+/// Canonical trace-event kinds, in taxonomy order; declared once in the
+/// [`metasim::simtrace`] event table.
+pub use metasim::simtrace::KINDS;

@@ -286,7 +286,7 @@ impl Registry {
         Registry::default()
     }
 
-    fn family(&mut self, name: &str, kind: Kind, help: &str, boundaries: &[f64]) -> &mut Family {
+    fn family(&mut self, name: &str, kind: Kind, help: &str, boundaries: &[f64]) {
         self.families
             .entry(name.to_string())
             .or_insert_with(|| Family {
@@ -294,7 +294,32 @@ impl Registry {
                 help: help.to_string(),
                 boundaries: boundaries.to_vec(),
                 series: BTreeMap::new(),
-            })
+            });
+    }
+
+    /// Apply `f` to the family `name` when it is of `kind`,
+    /// auto-registering it first when it is new (undescribed histograms
+    /// get log-spaced duration buckets, 1 ms–10 ks). Writes to an existing
+    /// family cost one lookup and copy nothing.
+    fn update(&mut self, name: &str, kind: Kind, f: impl FnOnce(&mut Family)) {
+        if let Some(family) = self.families.get_mut(name) {
+            if family.kind == kind {
+                f(family);
+            }
+            return;
+        }
+        let boundaries = match kind {
+            Kind::Histogram => Histogram::log_spaced(1e-3, 1e4, 3).boundaries().to_vec(),
+            Kind::Counter | Kind::Gauge => Vec::new(),
+        };
+        let mut family = Family {
+            kind,
+            help: String::new(),
+            boundaries,
+            series: BTreeMap::new(),
+        };
+        f(&mut family);
+        self.families.insert(name.to_string(), family);
     }
 
     /// Pre-register a counter family with help text.
@@ -321,59 +346,44 @@ impl Registry {
             return;
         }
         let key = label_key(labels);
-        let fam = self.family(name, Kind::Counter, "", &[]);
-        if fam.kind != Kind::Counter {
-            return;
-        }
-        if let Value::Counter(v) = fam.series.entry(key).or_insert(Value::Counter(0.0)) {
-            *v += by;
-        }
+        self.update(name, Kind::Counter, |fam| {
+            if let Value::Counter(v) = fam.series.entry(key).or_insert(Value::Counter(0.0)) {
+                *v += by;
+            }
+        });
     }
 
     /// Set a gauge series to `v` (auto-registered on first touch).
     pub fn set(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
         let key = label_key(labels);
-        let fam = self.family(name, Kind::Gauge, "", &[]);
-        if fam.kind != Kind::Gauge {
-            return;
-        }
-        fam.series.insert(key, Value::Gauge(v));
+        self.update(name, Kind::Gauge, |fam| {
+            fam.series.insert(key, Value::Gauge(v));
+        });
     }
 
     /// Add `delta` (may be negative) to a gauge series.
     pub fn add(&mut self, name: &str, labels: &[(&str, &str)], delta: f64) {
         let key = label_key(labels);
-        let fam = self.family(name, Kind::Gauge, "", &[]);
-        if fam.kind != Kind::Gauge {
-            return;
-        }
-        if let Value::Gauge(v) = fam.series.entry(key).or_insert(Value::Gauge(0.0)) {
-            *v += delta;
-        }
+        self.update(name, Kind::Gauge, |fam| {
+            if let Value::Gauge(v) = fam.series.entry(key).or_insert(Value::Gauge(0.0)) {
+                *v += delta;
+            }
+        });
     }
 
     /// Record an observation into a histogram series. Undescribed
     /// families get default log-spaced duration buckets (1 ms–10 ks).
     pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
         let key = label_key(labels);
-        let fam = if let Some(f) = self.families.get_mut(name) {
-            f
-        } else {
-            let bounds = Histogram::log_spaced(1e-3, 1e4, 3);
-            let bounds = bounds.boundaries().to_vec();
-            self.family(name, Kind::Histogram, "", &bounds)
-        };
-        if fam.kind != Kind::Histogram {
-            return;
-        }
-        let bounds = fam.boundaries.clone();
-        if let Value::Hist(h) = fam
-            .series
-            .entry(key)
-            .or_insert_with(|| Value::Hist(Histogram::with_boundaries(bounds)))
-        {
-            h.observe(v);
-        }
+        self.update(name, Kind::Histogram, |fam| {
+            let Family {
+                boundaries, series, ..
+            } = fam;
+            let new = || Value::Hist(Histogram::with_boundaries(boundaries.clone()));
+            if let Value::Hist(h) = series.entry(key).or_insert_with(new) {
+                h.observe(v);
+            }
+        });
     }
 
     /// Current value of a counter series, if it exists.

@@ -37,45 +37,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use metasim::simtrace::{EventSink, TraceEvent};
+use metasim::simtrace::{EventSink, TraceEvent, KINDS};
 use metasim::SimTime;
-
-/// Canonical trace-event kinds, in taxonomy order. Row exports list
-/// per-kind counts in this order.
-pub const KINDS: [&str; 22] = [
-    "compute_start",
-    "compute_finish",
-    "transfer_start",
-    "transfer_finish",
-    "host_fault_injected",
-    "link_fault_injected",
-    "placement_revoked",
-    "load_imposed",
-    "forecast_issued",
-    "resource_selection",
-    "candidate_considered",
-    "schedule_chosen",
-    "actuated",
-    "reschedule_triggered",
-    "reschedule_decision",
-    "job_submitted",
-    "job_dispatched",
-    "job_retried",
-    "job_backfilled",
-    "job_work_measured",
-    "job_completed",
-    "job_failed",
-];
-
-fn kind_index(kind: &str) -> Option<usize> {
-    KINDS.iter().position(|&k| k == kind)
-}
-
-const I_JOB_SUBMITTED: usize = 15;
-const I_JOB_DISPATCHED: usize = 16;
-const I_JOB_RETRIED: usize = 17;
-const I_JOB_COMPLETED: usize = 20;
-const I_JOB_FAILED: usize = 21;
 
 /// How event time maps to rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,23 +55,29 @@ pub enum WindowMode {
 /// Fixed-size per-window accumulator.
 #[derive(Debug, Clone, PartialEq)]
 struct RowAcc {
-    kinds: [u64; 22],
+    kinds: [u64; KINDS.len()],
     busy_seconds: f64,
     mb: f64,
     imposed_load_seconds: f64,
     share_sum: f64,
     share_count: u64,
+    /// Net change in queue depth (submitted + retried − dispatched).
+    queue_delta: i64,
+    /// Net change in backlog (submitted − completed − failed).
+    backlog_delta: i64,
 }
 
 impl RowAcc {
     fn new() -> RowAcc {
         RowAcc {
-            kinds: [0; 22],
+            kinds: [0; KINDS.len()],
             busy_seconds: 0.0,
             mb: 0.0,
             imposed_load_seconds: 0.0,
             share_sum: 0.0,
             share_count: 0,
+            queue_delta: 0,
+            backlog_delta: 0,
         }
     }
 }
@@ -124,7 +93,7 @@ pub struct Row {
     /// Events recorded in the window.
     pub events: u64,
     /// Per-kind event counts, [`KINDS`] order.
-    pub kinds: [u64; 22],
+    pub kinds: [u64; KINDS.len()],
     /// Compute seconds overlapping the window.
     pub busy_seconds: f64,
     /// Megabytes delivered in the window.
@@ -304,17 +273,11 @@ impl TimeSeriesSink {
     pub fn finalize(&self) -> TimeSeries {
         let mut rows = Vec::with_capacity(self.rows.len());
         let starts: Vec<u64> = self.rows.keys().copied().collect();
-        let mut submitted = 0u64;
-        let mut dispatched = 0u64;
-        let mut retried = 0u64;
-        let mut completed = 0u64;
-        let mut failed = 0u64;
+        let mut queue = 0i64;
+        let mut backlog = 0i64;
         for (i, (&start, acc)) in self.rows.iter().enumerate() {
-            submitted += acc.kinds[I_JOB_SUBMITTED];
-            dispatched += acc.kinds[I_JOB_DISPATCHED];
-            retried += acc.kinds[I_JOB_RETRIED];
-            completed += acc.kinds[I_JOB_COMPLETED];
-            failed += acc.kinds[I_JOB_FAILED];
+            queue += acc.queue_delta;
+            backlog += acc.backlog_delta;
             let end = match self.mode {
                 WindowMode::Fixed(_) => start + self.width_us,
                 WindowMode::EventAligned => starts.get(i + 1).copied().unwrap_or(start),
@@ -335,8 +298,8 @@ impl TimeSeriesSink {
                 imposed_load_seconds: acc.imposed_load_seconds,
                 mean_share: (acc.share_count > 0).then(|| acc.share_sum / acc.share_count as f64),
                 utilization,
-                queue_depth: (submitted + retried).saturating_sub(dispatched),
-                backlog: submitted.saturating_sub(completed + failed),
+                queue_depth: u64::try_from(queue).unwrap_or(0),
+                backlog: u64::try_from(backlog).unwrap_or(0),
             });
         }
         TimeSeries { rows }
@@ -346,9 +309,7 @@ impl TimeSeriesSink {
 impl EventSink for TimeSeriesSink {
     fn record(&mut self, event: TraceEvent) {
         let at = event.at();
-        if let Some(i) = kind_index(event.kind()) {
-            self.row(at).kinds[i] += 1;
-        }
+        self.row(at).kinds[event.kind_index()] += 1;
         match &event {
             TraceEvent::ComputeFinish {
                 at,
@@ -388,6 +349,16 @@ impl EventSink for TimeSeriesSink {
                 };
                 let seconds = until.saturating_sub(*at).as_secs_f64() * loss_rate;
                 self.spread(*at, *until, *at, seconds, false);
+            }
+            TraceEvent::JobSubmitted { .. } => {
+                let r = self.row(at);
+                r.queue_delta += 1;
+                r.backlog_delta += 1;
+            }
+            TraceEvent::JobRetried { .. } => self.row(at).queue_delta += 1,
+            TraceEvent::JobDispatched { .. } => self.row(at).queue_delta -= 1,
+            TraceEvent::JobCompleted { .. } | TraceEvent::JobFailed { .. } => {
+                self.row(at).backlog_delta -= 1;
             }
             _ => {}
         }
@@ -540,14 +511,14 @@ mod tests {
 
     #[test]
     fn every_trace_kind_is_indexed() {
-        // KINDS must stay in sync with the TraceEvent taxonomy; a new
-        // variant without a slot would silently drop from rows.
+        // Rows count by `kind_index`, a slot in KINDS; both come from the
+        // one simtrace table. The count is pinned so a new kind is seen.
         let probe = TraceEvent::JobWorkMeasured {
             job: 0,
             at: t(1.0),
             dedicated_seconds: 2.0,
         };
-        assert!(kind_index(probe.kind()).is_some());
+        assert_eq!(KINDS[probe.kind_index()], probe.kind());
         assert_eq!(KINDS.len(), 22);
     }
 }

@@ -263,4 +263,173 @@ fn truncated_fields_do_not_parse_as_something_else() {
     assert!(
         TraceEvent::from_json("{\"kind\":\"placement_revoked\",\"at\":-5,\"host\":1}").is_none()
     );
+    // An attempt past u32::MAX is out of range, not wrapped to 1.
+    assert!(TraceEvent::from_json(
+        "{\"kind\":\"job_dispatched\",\"at\":5,\"job\":1,\"attempt\":4294967297}"
+    )
+    .is_none());
+    // Only an explicit `null` recovery is a permanent fault; a missing
+    // one is a truncated line.
+    for (kind, target) in [
+        ("host_fault_injected", "host"),
+        ("link_fault_injected", "link"),
+    ] {
+        let line = format!("{{\"kind\":\"{kind}\",\"at\":5,\"{target}\":1");
+        assert!(TraceEvent::from_json(&line).is_none(), "{line}");
+        let permanent = TraceEvent::from_json(&format!("{line},\"recover\":null}}"));
+        assert_eq!(permanent.map(|e| e.at()), Some(SimTime(5)));
+    }
 }
+
+/// The JSONL wire format, pinned byte for byte: one fixed event of every
+/// kind, in taxonomy order, against a literal of its rendering. The
+/// round-trip properties above stay green if a refactor reorders or
+/// renames fields; this does not.
+#[test]
+fn every_kind_renders_the_pinned_bytes() {
+    let hostile = "q\"b\\n\nc\u{1}".to_string();
+    let at = SimTime(1_500_000);
+    let events = [
+        TraceEvent::ComputeStart {
+            host: HostId(3),
+            at,
+            work_mflop: f64::NAN,
+        },
+        TraceEvent::ComputeFinish {
+            host: HostId(3),
+            at,
+            elapsed_seconds: 2.25,
+        },
+        TraceEvent::TransferStart {
+            from: HostId(1),
+            to: HostId(2),
+            at,
+            mb: 0.125,
+        },
+        TraceEvent::TransferFinish {
+            from: HostId(1),
+            to: HostId(2),
+            at,
+            mb: 8.0,
+            contention_share: f64::NEG_INFINITY,
+        },
+        TraceEvent::HostFaultInjected {
+            host: HostId(4),
+            at,
+            recover: None,
+        },
+        TraceEvent::LinkFaultInjected {
+            link: LinkId(5),
+            at,
+            recover: Some(SimTime(9_000_001)),
+        },
+        TraceEvent::PlacementRevoked {
+            host: HostId(6),
+            at,
+        },
+        TraceEvent::LoadImposed {
+            host: HostId(7),
+            at,
+            until: SimTime(60_000_000),
+            factor: 0.5,
+        },
+        TraceEvent::ForecastIssued {
+            resource: hostile.clone(),
+            at,
+            predicted: 1e-7,
+            observed: -3.5,
+            error: f64::INFINITY,
+            method: hostile.clone(),
+        },
+        TraceEvent::ResourceSelection {
+            at,
+            candidates: 255,
+        },
+        TraceEvent::CandidateConsidered {
+            at,
+            index: 2,
+            hosts: 4,
+            predicted_seconds: 123.456,
+            objective: 1e21,
+        },
+        TraceEvent::ScheduleChosen {
+            at,
+            index: 2,
+            predicted_seconds: 0.1,
+        },
+        TraceEvent::Actuated {
+            at,
+            finish: SimTime(2_000_000),
+            elapsed_seconds: 0.5,
+        },
+        TraceEvent::RescheduleTriggered { at, phase: 3 },
+        TraceEvent::RescheduleDecision {
+            at,
+            keep_seconds: 10.0,
+            move_seconds: 7.5,
+            move_cost_seconds: 1.0,
+            migrated: true,
+        },
+        TraceEvent::JobSubmitted {
+            job: 11,
+            kind: hostile,
+            at,
+        },
+        TraceEvent::JobDispatched {
+            job: 11,
+            at,
+            attempt: 1,
+        },
+        TraceEvent::JobRetried {
+            job: 11,
+            at,
+            attempt: 4_294_967_295,
+        },
+        TraceEvent::JobBackfilled {
+            job: 12,
+            at,
+            reservation: SimTime(0),
+        },
+        TraceEvent::JobWorkMeasured {
+            job: 12,
+            at,
+            dedicated_seconds: 42.0,
+        },
+        TraceEvent::JobCompleted {
+            job: 12,
+            at,
+            exec_seconds: 99.75,
+        },
+        TraceEvent::JobFailed {
+            job: 11,
+            at,
+            attempts: 3,
+        },
+    ];
+    let rendered: String = events.iter().map(|e| e.to_json() + "\n").collect();
+    assert_eq!(rendered, PINNED);
+}
+
+const PINNED: &str = r#"{"kind":"compute_start","at":1500000,"host":3,"work_mflop":null}
+{"kind":"compute_finish","at":1500000,"host":3,"elapsed_seconds":2.25}
+{"kind":"transfer_start","at":1500000,"from":1,"to":2,"mb":0.125}
+{"kind":"transfer_finish","at":1500000,"from":1,"to":2,"mb":8,"contention_share":null}
+{"kind":"host_fault_injected","at":1500000,"host":4,"recover":null}
+{"kind":"link_fault_injected","at":1500000,"link":5,"recover":9000001}
+{"kind":"placement_revoked","at":1500000,"host":6}
+{"kind":"load_imposed","at":1500000,"host":7,"until":60000000,"factor":0.5}
+{"kind":"forecast_issued","at":1500000,"resource":"q\"b\\n\nc\u0001","predicted":0.0000001,"observed":-3.5,"error":null,"method":"q\"b\\n\nc\u0001"}
+{"kind":"resource_selection","at":1500000,"candidates":255}
+{"kind":"candidate_considered","at":1500000,"index":2,"hosts":4,"predicted_seconds":123.456,"objective":1000000000000000000000}
+{"kind":"schedule_chosen","at":1500000,"index":2,"predicted_seconds":0.1}
+{"kind":"actuated","at":1500000,"finish":2000000,"elapsed_seconds":0.5}
+{"kind":"reschedule_triggered","at":1500000,"phase":3}
+{"kind":"reschedule_decision","at":1500000,"keep_seconds":10,"move_seconds":7.5,"move_cost_seconds":1,"migrated":true}
+{"kind":"job_submitted","at":1500000,"job":11,"class":"q\"b\\n\nc\u0001"}
+{"kind":"job_dispatched","at":1500000,"job":11,"attempt":1}
+{"kind":"job_retried","at":1500000,"job":11,"attempt":4294967295}
+{"kind":"job_backfilled","at":1500000,"job":12,"reservation":0}
+{"kind":"job_work_measured","at":1500000,"job":12,"dedicated_seconds":42}
+{"kind":"job_completed","at":1500000,"job":12,"exec_seconds":99.75}
+{"kind":"job_failed","at":1500000,"job":11,"attempts":3}
+"#;
