@@ -6,6 +6,7 @@ use metasim::exec::{simulate_spmd, simulate_workqueue, SpmdJob, SpmdPlacement, W
 use metasim::host::HostSpec;
 use metasim::load::LoadModel;
 use metasim::net::{simulate_transfers, LinkSpec, TopologyBuilder, TransferReq};
+use metasim::simtrace::NoopSink;
 use metasim::{HostId, SimTime, Topology};
 use std::hint::black_box;
 
@@ -59,7 +60,9 @@ fn bench_spmd(c: &mut Criterion) {
             start: SimTime::ZERO,
         };
         g.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
-            b.iter(|| black_box(simulate_spmd(&topo, black_box(&job)).expect("run")));
+            b.iter(|| {
+                black_box(simulate_spmd(&topo, black_box(&job), &mut NoopSink).expect("run"))
+            });
         });
     }
     g.finish();
@@ -80,7 +83,13 @@ fn bench_flows(c: &mut Criterion) {
             })
             .collect();
         g.bench_with_input(BenchmarkId::from_parameter(flows), &flows, |b, _| {
-            b.iter(|| black_box(simulate_transfers(&topo, black_box(&reqs)).expect("flows")));
+            b.iter(|| {
+                black_box(
+                    simulate_transfers(&topo, black_box(&reqs), &mut NoopSink)
+                        .expect("flows")
+                        .0,
+                )
+            });
         });
     }
     g.finish();

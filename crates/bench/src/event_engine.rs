@@ -1,5 +1,5 @@
 //! T-SCALE: events/sec of the simulation core — the incremental
-//! dirty-set engine (`simulate_transfers_counting`) against the naive
+//! dirty-set engine (`simulate_transfers`) against the naive
 //! full-recompute baseline (`simulate_transfers_reference`) on a seeded
 //! synthetic fleet, swept over host and job counts.
 //!
@@ -25,7 +25,7 @@
 
 use metasim::host::HostSpec;
 use metasim::load::LoadModel;
-use metasim::net::{simulate_transfers_counting, simulate_transfers_reference, TransferReq};
+use metasim::net::{simulate_transfers, simulate_transfers_reference, TransferReq};
 use metasim::net::{LinkSpec, Topology, TopologyBuilder};
 use metasim::simtrace::NoopSink;
 use metasim::topogen::{self, TopoGenConfig, TopoSpec};
@@ -237,7 +237,7 @@ pub fn run_point_on(
     let reqs = build_workload(topo, jobs, seed);
 
     let t0 = std::time::Instant::now();
-    let (inc_results, inc_events) = simulate_transfers_counting(topo, &reqs, &mut NoopSink)
+    let (inc_results, inc_events) = simulate_transfers(topo, &reqs, &mut NoopSink)
         .map_err(|e| format!("incremental engine failed: {e}"))?;
     let inc_secs = t0.elapsed().as_secs_f64();
 

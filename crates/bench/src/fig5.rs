@@ -15,6 +15,7 @@ use apples::{ApplesError, StencilSchedule};
 use apples_apps::jacobi2d::partition::jacobi_context;
 use apples_apps::jacobi2d::{apples_stencil_schedule, blocked_uniform, static_strip};
 use metasim::exec::{simulate_spmd, SpmdJob};
+use metasim::simtrace::NoopSink;
 use metasim::testbed::{pcl_sdsc, LoadProfile, Testbed, TestbedConfig};
 use metasim::trace::Stats;
 use metasim::{SimError, SimTime, Topology};
@@ -89,7 +90,9 @@ impl Fig5Jobs {
     pub fn makespans(&self, topo: &Topology) -> Result<[f64; 3], SimError> {
         let mut secs = [0.0; 3];
         for (s, (_, job)) in secs.iter_mut().zip(&self.jobs) {
-            *s = simulate_spmd(topo, job)?.makespan(WARMUP).as_secs_f64();
+            *s = simulate_spmd(topo, job, &mut NoopSink)?
+                .makespan(WARMUP)
+                .as_secs_f64();
         }
         Ok(secs)
     }

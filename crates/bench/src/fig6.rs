@@ -14,6 +14,7 @@ use apples::info::InfoPool;
 use apples_apps::jacobi2d::partition::jacobi_context;
 use apples_apps::jacobi2d::{apples_stencil_schedule, blocked_uniform};
 use metasim::exec::simulate_spmd;
+use metasim::simtrace::NoopSink;
 use metasim::testbed::{pcl_sdsc, LoadProfile, TestbedConfig};
 use metasim::trace::Stats;
 use metasim::SimTime;
@@ -78,14 +79,18 @@ pub fn run_trial(n: usize, iterations: usize, seed: u64) -> Fig6Trial {
     // AppLeS over the whole pool.
     let pool = InfoPool::with_nws(&tb.topo, &ws, &hat, &user, WARMUP);
     let apples_sched = apples_stencil_schedule(&pool).expect("apples plan");
-    let apples_out =
-        simulate_spmd(&tb.topo, &apples_sched.to_spmd_job(t, WARMUP)).expect("apples run");
+    let apples_out = simulate_spmd(
+        &tb.topo,
+        &apples_sched.to_spmd_job(t, WARMUP),
+        &mut NoopSink,
+    )
+    .expect("apples run");
 
     // Blocked on the SP-2 alone: the natural compile-time choice for a
     // user who knows the SP-2 is fast and idle.
     let blocked = blocked_uniform(n, iterations, &sp2);
-    let blocked_out =
-        simulate_spmd(&tb.topo, &blocked.to_spmd_job(t, WARMUP)).expect("blocked run");
+    let blocked_out = simulate_spmd(&tb.topo, &blocked.to_spmd_job(t, WARMUP), &mut NoopSink)
+        .expect("blocked run");
 
     let apples_hosts = apples_sched
         .parts

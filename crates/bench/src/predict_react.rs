@@ -19,6 +19,7 @@ use metasim::exec::{simulate_workqueue, WorkQueueJob};
 use metasim::host::HostSpec;
 use metasim::load::LoadModel;
 use metasim::net::{LinkSpec, TopologyBuilder};
+use metasim::simtrace::NoopSink;
 use metasim::{HostId, SimTime, Topology};
 use nws::{WeatherService, WeatherServiceConfig};
 
@@ -97,7 +98,7 @@ pub fn run_point(
     ws.advance(&topo, warmup);
     let pool = InfoPool::with_nws(&topo, &ws, &hat, &user, warmup);
     let farm = plan_farm(&pool, &workers, master, master).expect("farm plan");
-    let predictive = actuate(&topo, &hat, &Schedule::Farm(farm), warmup)
+    let predictive = actuate(&topo, &hat, &Schedule::Farm(farm), warmup, &mut NoopSink)
         .expect("farm run")
         .elapsed_seconds;
 

@@ -235,6 +235,7 @@ mod tests {
     use crate::user::UserSpec;
     use metasim::host::HostSpec;
     use metasim::net::{LinkSpec, TopologyBuilder};
+    use metasim::simtrace::NoopSink;
     use metasim::{SimTime, Topology};
 
     fn s(x: f64) -> SimTime {
@@ -274,7 +275,7 @@ mod tests {
         let predicted = estimate_stencil(&pool, &sched).unwrap();
         let t = hat.as_stencil().unwrap();
         let job = sched.to_spmd_job(t, SimTime::ZERO);
-        let actual = metasim::exec::simulate_spmd(&topo, &job)
+        let actual = metasim::exec::simulate_spmd(&topo, &job, &mut NoopSink)
             .unwrap()
             .finish
             .as_secs_f64();

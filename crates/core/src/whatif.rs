@@ -18,6 +18,7 @@ use crate::error::ApplesError;
 use crate::hat::Hat;
 use crate::info::InfoPool;
 use crate::user::UserSpec;
+use metasim::simtrace::NoopSink;
 use metasim::{HostId, LinkId, SimTime, Topology};
 use nws::WeatherService;
 
@@ -123,7 +124,10 @@ pub fn evaluate(
     let run_on = |t: &Topology| -> Result<f64, ApplesError> {
         let pool = InfoPool::with_nws(t, weather, hat, user, now);
         let decision = agent.decide(&pool)?;
-        Ok(crate::actuator::actuate(t, hat, decision.schedule(), now)?.elapsed_seconds)
+        Ok(
+            crate::actuator::actuate(t, hat, decision.schedule(), now, &mut NoopSink)?
+                .elapsed_seconds,
+        )
     };
     let baseline_seconds = run_on(topo)?;
     let mut results = Vec::with_capacity(upgrades.len());

@@ -71,7 +71,7 @@ use crate::service::{
     GridConfig, GridError, GridOutcome, Stream,
 };
 use crate::workload::{JobKind, JobSpec, RetryPolicy};
-use apples::actuator::actuate_with_sink;
+use apples::actuator::actuate;
 use apples::hat::Hat;
 use apples::info::InfoPool;
 use apples::schedule::Schedule;
@@ -480,7 +480,7 @@ impl BatchRun<'_> {
             .take()
             .ok_or_else(|| GridError::Internal("started job has no plan".into()))?;
         self.ledger.dispatch(idx, now, self.sink);
-        match actuate_with_sink(&self.topo, &planned.hat, &planned.schedule, now, self.sink) {
+        match actuate(&self.topo, &planned.hat, &planned.schedule, now, self.sink) {
             Ok(report) => {
                 let hosts = host_names_of(&self.topo, &planned.hosts)?;
                 let record = self.ledger.complete(
@@ -830,7 +830,7 @@ impl FracRun<'_> {
             // What-if actuation on the pristine testbed measures the
             // job's dedicated-equivalent work; the executor events are
             // hypothetical, so they go to a noop sink.
-            actuate_with_sink(self.pristine, &p.hat, &p.schedule, now, &mut NoopSink)
+            actuate(self.pristine, &p.hat, &p.schedule, now, &mut NoopSink)
                 .map(|report| (p, report))
         });
         match outcome {

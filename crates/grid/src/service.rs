@@ -52,7 +52,7 @@ use crate::lifecycle::{Ledger, Settled};
 use crate::metrics::{FleetMetrics, JobRecord};
 use crate::sched::SchedRegime;
 use crate::workload::{JobKind, JobSpec, RetryPolicy, WorkloadConfig};
-use apples::actuator::{actuate_with_sink, ActuationDetail, ActuationReport};
+use apples::actuator::{actuate, ActuationDetail, ActuationReport};
 use apples::hat::Hat;
 use apples::info::InfoPool;
 use apples::rescheduler::{RescheduleReport, ReschedulingAgent};
@@ -572,7 +572,7 @@ pub(crate) fn run_selfish(
                 // stream.)
                 let mut ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
                 agent
-                    .run_stencil_with_sink(&topo, &mut ws, start, sink)
+                    .run_stencil(&topo, &mut ws, start, sink)
                     .map(AttemptOutcome::Phased)
             } else {
                 let schedule = match (&blind_ws, cfg.regime) {
@@ -587,7 +587,7 @@ pub(crate) fn run_selfish(
                     }
                 };
                 schedule.and_then(|schedule| {
-                    actuate_with_sink(&topo, &hat, &schedule, start, sink)
+                    actuate(&topo, &hat, &schedule, start, sink)
                         .map(|report| AttemptOutcome::OneShot(schedule, report))
                 })
             };
@@ -1375,8 +1375,7 @@ mod tests {
             ws.advance(&topo, start);
             let pool = InfoPool::with_nws(&topo, &ws, &hat, &user, start);
             let schedule = decide(&job.kind, &pool, &mut NoopSink).expect("plan");
-            let report =
-                actuate_with_sink(&topo, &hat, &schedule, start, &mut NoopSink).expect("run");
+            let report = actuate(&topo, &hat, &schedule, start, &mut NoopSink).expect("run");
             impose_job_load(&mut topo, &hat, &schedule, &report, start, &mut NoopSink)
                 .expect("impose");
         }

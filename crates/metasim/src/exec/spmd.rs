@@ -15,8 +15,8 @@
 
 use crate::error::SimError;
 use crate::host::HostId;
-use crate::net::{simulate_transfers_with_sink, Topology, TransferReq};
-use crate::simtrace::{EventSink, NoopSink, TraceEvent};
+use crate::net::{simulate_transfers, Topology, TransferReq};
+use crate::simtrace::{EventSink, TraceEvent};
 use crate::time::SimTime;
 
 /// One worker's placement and per-iteration behaviour.
@@ -72,14 +72,11 @@ impl SpmdOutcome {
 /// startup wait across the placements — a co-allocation of space-shared
 /// resources). Sends that name an out-of-range worker index are an
 /// error, as is an empty placement list.
-pub fn simulate_spmd(topo: &Topology, job: &SpmdJob) -> Result<SpmdOutcome, SimError> {
-    simulate_spmd_with_sink(topo, job, &mut NoopSink)
-}
-
-/// [`simulate_spmd`], emitting one [`TraceEvent::ComputeStart`] /
-/// [`TraceEvent::ComputeFinish`] pair per worker (covering all
-/// iterations) plus border-exchange transfer events into `sink`.
-pub fn simulate_spmd_with_sink(
+///
+/// Emits one [`TraceEvent::ComputeStart`] / [`TraceEvent::ComputeFinish`]
+/// pair per worker (covering all iterations) plus border-exchange
+/// transfer events into `sink`.
+pub fn simulate_spmd(
     topo: &Topology,
     job: &SpmdJob,
     sink: &mut dyn EventSink,
@@ -159,7 +156,7 @@ pub fn simulate_spmd_with_sink(
         }
         let mut next_barrier = compute_done.iter().copied().fold(barrier, SimTime::max);
         if !reqs.is_empty() {
-            for r in simulate_transfers_with_sink(topo, &reqs, sink)? {
+            for r in simulate_transfers(topo, &reqs, sink)?.0 {
                 next_barrier = next_barrier.max(r.delivered);
             }
         }
@@ -201,6 +198,7 @@ mod tests {
     use crate::host::HostSpec;
     use crate::load::LoadModel;
     use crate::net::{LinkSpec, TopologyBuilder};
+    use crate::simtrace::NoopSink;
 
     fn s(x: f64) -> SimTime {
         SimTime::from_secs_f64(x)
@@ -232,7 +230,7 @@ mod tests {
             iterations: 3,
             start: SimTime::ZERO,
         };
-        let out = simulate_spmd(&topo, &job).unwrap();
+        let out = simulate_spmd(&topo, &job, &mut NoopSink).unwrap();
         // 100 Mflop at 10 Mflop/s = 10 s per iteration.
         assert_eq!(out.finish, s(30.0));
         assert_eq!(out.iteration_ends, vec![s(10.0), s(20.0), s(30.0)]);
@@ -251,7 +249,7 @@ mod tests {
             iterations: 1,
             start: SimTime::ZERO,
         };
-        let out = simulate_spmd(&topo, &job).unwrap();
+        let out = simulate_spmd(&topo, &job, &mut NoopSink).unwrap();
         assert_eq!(out.finish, s(10.0));
         // The fast worker idles 5 s at the barrier.
         assert!((out.sync_seconds[1] - 5.0).abs() < 1e-6);
@@ -268,7 +266,7 @@ mod tests {
             iterations: 2,
             start: SimTime::ZERO,
         };
-        let out = simulate_spmd(&topo, &job).unwrap();
+        let out = simulate_spmd(&topo, &job, &mut NoopSink).unwrap();
         // Both sends start at t=10 and share the 10 MB/s segment: each
         // runs at 5 MB/s, finishing 10 MB at t=12. Iteration = 12 s.
         assert_eq!(out.iteration_ends[0], s(12.0));
@@ -294,6 +292,7 @@ mod tests {
                 iterations: 1,
                 start: SimTime::ZERO,
             },
+            &mut NoopSink,
         )
         .unwrap();
         // 4 concurrent 10 MB flows share 10 MB/s: 2.5 MB/s each ⇒ 4 s.
@@ -319,6 +318,7 @@ mod tests {
                 iterations: 1,
                 start: SimTime::ZERO,
             },
+            &mut NoopSink,
         )
         .unwrap();
         // Only 25% of 10 Mflop/s available ⇒ 40 s.
@@ -341,6 +341,7 @@ mod tests {
                 iterations: 1,
                 start: SimTime::ZERO,
             },
+            &mut NoopSink,
         )
         .unwrap();
         // Co-allocation waits out the 100 s queue, then 10 s compute.
@@ -356,7 +357,7 @@ mod tests {
             start: SimTime::ZERO,
         };
         assert!(matches!(
-            simulate_spmd(&topo, &job),
+            simulate_spmd(&topo, &job, &mut NoopSink),
             Err(SimError::EmptySchedule)
         ));
     }
@@ -370,7 +371,7 @@ mod tests {
             start: SimTime::ZERO,
         };
         assert!(matches!(
-            simulate_spmd(&topo, &job),
+            simulate_spmd(&topo, &job, &mut NoopSink),
             Err(SimError::Invalid(_))
         ));
     }
@@ -383,7 +384,7 @@ mod tests {
             iterations: 0,
             start: s(7.0),
         };
-        let out = simulate_spmd(&topo, &job).unwrap();
+        let out = simulate_spmd(&topo, &job, &mut NoopSink).unwrap();
         assert_eq!(out.finish, s(7.0));
         assert!(out.iteration_ends.is_empty());
     }
@@ -401,8 +402,8 @@ mod tests {
             start: SimTime::ZERO,
         };
         let mut sink = VecSink::new();
-        let traced = simulate_spmd_with_sink(&topo, &job, &mut sink).unwrap();
-        let plain = simulate_spmd(&topo, &job).unwrap();
+        let traced = simulate_spmd(&topo, &job, &mut sink).unwrap();
+        let plain = simulate_spmd(&topo, &job, &mut NoopSink).unwrap();
         assert_eq!(traced, plain, "tracing must not perturb the simulation");
         // 2 workers: one start + one finish each, plus 2 transfers per
         // iteration over 2 iterations = 8 transfer events.
@@ -440,6 +441,7 @@ mod tests {
                 iterations: 1,
                 start: SimTime::ZERO,
             },
+            &mut NoopSink,
         )
         .unwrap();
         let spills = simulate_spmd(
@@ -454,6 +456,7 @@ mod tests {
                 iterations: 1,
                 start: SimTime::ZERO,
             },
+            &mut NoopSink,
         )
         .unwrap();
         assert!(spills.finish.as_secs_f64() > 10.0 * fits.finish.as_secs_f64());

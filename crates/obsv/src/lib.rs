@@ -11,8 +11,8 @@
 //!   fixed-boundary histograms with bucket-interpolated p50/p95/p99,
 //!   deterministic by construction: no wall-clock, no hash-map
 //!   iteration, canonical label ordering. [`MetricsSink`] implements
-//!   [`metasim::simtrace::EventSink`], so every `_with_sink` call site
-//!   in the stack feeds it without modification, and [`FanoutSink`]
+//!   [`metasim::simtrace::EventSink`], so every entry point that takes a
+//!   sink feeds it without modification, and [`FanoutSink`]
 //!   lets JSONL tracing and metrics watch the same run;
 //! * **simprof** ([`Profile`]) — a time-attribution profiler that
 //!   folds a trace into per-job/per-host/per-phase buckets

@@ -16,6 +16,7 @@ pub use obsv;
 /// schedule on it.
 ///
 /// ```
+/// use apples_suite::metasim::NoopSink;
 /// use apples_suite::prelude::*;
 ///
 /// let mut b = TopologyBuilder::new();
@@ -27,7 +28,9 @@ pub use obsv;
 /// weather.advance(&topo, SimTime::from_secs(60));
 ///
 /// let agent = Coordinator::new(jacobi2d_hat(300, 10), UserSpec::default());
-/// let (decision, report) = agent.run(&topo, &weather, SimTime::from_secs(60)).unwrap();
+/// let (decision, report) = agent
+///     .run(&topo, &weather, SimTime::from_secs(60), &mut NoopSink)
+///     .unwrap();
 /// assert!(report.elapsed_seconds > 0.0);
 /// assert_eq!(decision.schedule().hosts().len(), 1);
 /// ```
