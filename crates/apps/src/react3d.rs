@@ -27,6 +27,7 @@ use apples::schedule::PipelineSchedule;
 use metasim::exec::{simulate_pipeline, simulate_single_site, PipelineOutcome};
 use metasim::host::HostSpec;
 use metasim::net::{LinkSpec, TopologyBuilder};
+use metasim::simtrace::NoopSink;
 use metasim::{HostId, SimError, SimTime, Topology};
 
 /// Total surface functions in a production-size run.
@@ -144,7 +145,7 @@ pub fn distributed_run(
         depth,
     };
     let job = sched.to_pipeline_job(t, "sdsc-c90", "caltech-paragon", SimTime::ZERO)?;
-    Ok(simulate_pipeline(&tb.topo, &job)?)
+    Ok(simulate_pipeline(&tb.topo, &job, &mut NoopSink)?)
 }
 
 /// Run the whole application on a single machine (the §2.3 single-site

@@ -6,11 +6,11 @@
 //! folded-stack output and the Prometheus exposition are byte-identical
 //! across two runs of the same seed, so they can gate regressions.
 
-use apples_grid::workload::{ArrivalProcess, JobMix, WorkloadConfig};
+use apples_grid::workload::{ArrivalProcess, JobKind, JobMix, WorkloadConfig};
 use apples_grid::{GridConfig, GridService, SchedRegime};
 use metasim::simtrace::{NoopSink, VecSink};
 use metasim::SimTime;
-use obsv::{FanoutSink, MetricsSink, Profile, PHASES};
+use obsv::{FanoutSink, MetricsSink, Phase, Profile, PHASES};
 
 fn workload() -> WorkloadConfig {
     WorkloadConfig {
@@ -151,4 +151,30 @@ fn fanout_sink_feeds_both_consumers_without_perturbing_the_run() {
         completed as usize,
         profile.jobs.iter().filter(|j| j.completed).count()
     );
+}
+
+#[test]
+fn pipeline_jobs_profile_their_stage_compute() {
+    // A 3D-REACT-shaped job streams units between a producer and a
+    // consumer host; its execution window must show that compute, not
+    // read as pure contention-wait.
+    let stream = WorkloadConfig {
+        mix: JobMix::only(JobKind::ReactPipeline { units: 30 }),
+        ..workload()
+    };
+    let mut sink = VecSink::new();
+    GridService::new(GridConfig::default())
+        .and_then(|svc| svc.run(SchedRegime::Selfish, &stream, &mut sink))
+        .expect("traced pipeline stream");
+    let profile = Profile::from_events(&sink.events);
+    assert!(!profile.jobs.is_empty(), "the stream admitted no jobs");
+    for j in &profile.jobs {
+        assert_eq!(j.kind, "react-pipe");
+        assert!(
+            j.bucket_us(Phase::Compute) > 0,
+            "job {} profiles no compute:\n{}",
+            j.job,
+            profile.table()
+        );
+    }
 }
