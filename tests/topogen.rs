@@ -68,7 +68,7 @@ proptest! {
 
     /// The cached `route_ref` fast path returns the same link sequence
     /// as the uncached table walk, for every host pair. Restricted to
-    /// dense (unhinted) families where the legacy table is complete.
+    /// unhinted families, where the uncached table is complete.
     #[test]
     fn route_ref_matches_uncached_table(
         spec in dense_spec(),
