@@ -27,9 +27,10 @@
 //!   every arrival and departure. A job's rate is the minimum share
 //!   across its hosts; its dedicated-equivalent work (measured by a
 //!   what-if actuation on the pristine testbed) drains at that rate.
-//!   The realized per-host occupancy is written back onto the live
-//!   topology as one batched [`StepSeries::with_impositions`] rebuild
-//!   per host at the end of the run.
+//!   The regime plans and measures on the pristine testbed and takes
+//!   crashes from the fault schedule, so it builds no live copy. The
+//!   realized per-host occupancy becomes `load_imposed` events at the
+//!   end of the run and is not written back into any series.
 //!
 //! ## Comparability contract
 //!
@@ -37,8 +38,8 @@
 //! same arrivals, same kinds) and the same realized [`FaultSpec`]
 //! (keyed by the grid seed): [`run_regime_jobs_with_sink`] and
 //! [`GridService::run`] dispatch every regime through one shared
-//! prologue that applies the faults and orders the jobs, and one
-//! shared epilogue that reduces the records to fleet metrics. In
+//! prologue that realizes and records the faults and orders the jobs,
+//! and one shared epilogue that reduces the records to fleet metrics. In
 //! between, one job lifecycle (`crate::lifecycle`) applies the same
 //! retry, give-up and record rules to every regime, so the engines
 //! differ only in where and when they place an attempt. Every
@@ -60,14 +61,13 @@
 //! and a host crash revokes its residents entirely — a restarted job
 //! loses its progress (no checkpointing across PS restarts).
 //!
-//! [`StepSeries::with_impositions`]: metasim::load::StepSeries::with_impositions
 //! [`FaultSpec`]: metasim::FaultSpec
 //! [`GridService::run`]: crate::GridService::run
 
 use crate::lifecycle::{Ledger, Settled};
 use crate::metrics::JobRecord;
 use crate::service::{
-    build_topology, decide_with_prediction, host_names_of, outcome, run_selfish, write_back,
+    build_topology, decide_with_prediction, host_names_of, live_testbed, outcome, run_selfish,
     GridConfig, GridError, GridOutcome, Stream,
 };
 use crate::workload::{JobKind, JobSpec, RetryPolicy};
@@ -315,7 +315,7 @@ fn run_batch<'a>(
         cfg,
         duration: stream.duration,
         pristine,
-        topo: stream.live,
+        topo: live_testbed(pristine, &stream.faults)?,
         planned: vec![None; stream.ledger.len()],
         ledger: stream.ledger,
         queue: Vec::new(),
@@ -343,7 +343,10 @@ impl BatchRun<'_> {
             self.try_start_queued(now)?;
         }
         self.records.sort_by_key(|r| r.id);
-        Ok((outcome(&self.topo, self.records, self.duration), self.log))
+        Ok((
+            outcome(self.pristine, self.records, self.duration),
+            self.log,
+        ))
     }
 
     fn process_enqueue(&mut self, idx: usize, now: SimTime) -> Result<(), GridError> {
@@ -582,11 +585,9 @@ struct ActiveJob {
 struct FracRun<'a> {
     duration: SimTime,
     /// Fault-free snapshot used for planning and dedicated what-if
-    /// actuation.
+    /// actuation. Crashes come from the fault schedule, so no faulted
+    /// copy is built.
     pristine: &'a Topology,
-    /// Live topology: faults applied up front, realized occupancy
-    /// written back at the end.
-    live: Topology,
     ledger: Ledger<'a>,
     active: Vec<ActiveJob>,
     down: BTreeSet<HostId>,
@@ -628,7 +629,6 @@ fn run_fractional<'a>(
     let mut run = FracRun {
         duration: stream.duration,
         pristine,
-        live: stream.live,
         ledger: stream.ledger,
         active: Vec::new(),
         down: BTreeSet::new(),
@@ -725,7 +725,7 @@ impl FracRun<'_> {
     /// Drain every active job's work over `[now, until)` at the shares
     /// in force (no event fires inside the interval, so shares are
     /// constant), and record the per-host occupancy for the final
-    /// write-back.
+    /// `load_imposed` events.
     fn advance_to(&mut self, now: SimTime, until: SimTime) {
         if until <= now || self.active.is_empty() {
             return;
@@ -873,17 +873,13 @@ impl FracRun<'_> {
         }
     }
 
-    /// Write the realized per-host occupancy back onto the live
-    /// topology: one batched [`with_impositions`] rebuild per host —
-    /// the high-rate path the incremental sweep in `metasim::load` was
-    /// built for.
-    ///
-    /// [`with_impositions`]: metasim::load::StepSeries::with_impositions
+    /// Record the realized per-host occupancy as `load_imposed` events,
+    /// one per coalesced imposition, host by host. Nothing reads a
+    /// testbed after a fractional run, so the occupancy is not written
+    /// back into any availability series.
     fn finish(mut self) -> Result<(GridOutcome, FractionalLog), GridError> {
-        let impositions = std::mem::take(&mut self.impositions);
-        for (h, imps) in &impositions {
-            write_back(&mut self.live, *h, imps)?;
-            if self.sink.enabled() {
+        if self.sink.enabled() {
+            for (h, imps) in &self.impositions {
                 for imp in imps {
                     self.sink.record(TraceEvent::LoadImposed {
                         host: *h,
@@ -896,7 +892,7 @@ impl FracRun<'_> {
         }
         self.records.sort_by_key(|r| r.id);
         Ok((
-            outcome(&self.live, self.records, self.duration),
+            outcome(self.pristine, self.records, self.duration),
             FractionalLog {
                 samples: self.samples,
             },

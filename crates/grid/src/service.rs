@@ -63,7 +63,7 @@ use metasim::load::Imposition;
 use metasim::simtrace::{EventSink, TraceEvent};
 use metasim::testbed::{pcl_sdsc, LoadProfile, TestbedConfig};
 use metasim::topogen::{self, TopoGenConfig, TopoSpec};
-use metasim::{apply_faults_with_sink, FaultModel, FaultSpec, SimError};
+use metasim::{apply_faults, FaultModel, FaultSpec, SimError};
 use metasim::{HostId, SimTime, Topology};
 use nws::{WeatherService, WeatherServiceConfig};
 use simcore::EventQueue;
@@ -439,13 +439,11 @@ enum AttemptOutcome {
 /// What every regime engine starts from: the shared run prologue.
 ///
 /// [`Stream::start`] gives the selfish loop below and the centralized
-/// engines in [`crate::sched`] the same live testbed, the same realized
-/// fault schedule (keyed by the grid seed) and the same job ledger —
-/// admission order and retry rules — so every regime faces the exact
-/// same stream.
+/// engines in [`crate::sched`] the same realized fault schedule (keyed
+/// by the grid seed) and the same job ledger — admission order and
+/// retry rules — so every regime faces the exact same stream. It
+/// clones no testbed: see [`live_testbed`].
 pub(crate) struct Stream<'a> {
-    /// A clone of the pristine testbed with the faults applied.
-    pub(crate) live: Topology,
     /// The fault schedule realized over the submission window.
     pub(crate) faults: FaultSpec,
     /// The jobs in admission order, under the validated retry policy.
@@ -457,9 +455,9 @@ pub(crate) struct Stream<'a> {
 
 impl<'a> Stream<'a> {
     /// Validate the retry policy (and, except under processor sharing,
-    /// which has no queue, the admission bound), clone the live
-    /// testbed from the borrowed `pristine` one, realize and apply the
-    /// faults, and open the jobs' ledger.
+    /// which has no queue, the admission bound), realize the faults,
+    /// check them against the borrowed `pristine` testbed and record
+    /// their injection, and open the jobs' ledger.
     pub(crate) fn start(
         cfg: &GridConfig,
         regime: SchedRegime,
@@ -482,12 +480,9 @@ impl<'a> Stream<'a> {
                 m.realize(pristine, cfg.warmup, cfg.warmup + duration, cfg.seed)?
             }
         };
-        let mut live = pristine.clone();
-        if !faults.is_empty() {
-            apply_faults_with_sink(&mut live, &faults, sink)?;
-        }
+        faults.validate(pristine)?;
+        faults.record(sink);
         Ok(Stream {
-            live,
             faults,
             ledger: Ledger::new(jobs, cfg.warmup, retry, cfg.seed),
             duration,
@@ -495,10 +490,18 @@ impl<'a> Stream<'a> {
     }
 }
 
+/// A clone of the pristine testbed with `faults` applied: the testbed
+/// an engine actuates on and, under selfish agents, writes load into.
+pub(crate) fn live_testbed(pristine: &Topology, faults: &FaultSpec) -> Result<Topology, GridError> {
+    let mut live = pristine.clone();
+    apply_faults(&mut live, faults)?;
+    Ok(live)
+}
+
 /// The shared run epilogue: reduce `records` to fleet metrics over the
-/// live testbed's hosts.
-pub(crate) fn outcome(live: &Topology, records: Vec<JobRecord>, duration: SimTime) -> GridOutcome {
-    let host_names: Vec<String> = live.hosts().iter().map(|h| h.spec.name.clone()).collect();
+/// testbed's hosts.
+pub(crate) fn outcome(topo: &Topology, records: Vec<JobRecord>, duration: SimTime) -> GridOutcome {
+    let host_names: Vec<String> = topo.hosts().iter().map(|h| h.spec.name.clone()).collect();
     let fleet = FleetMetrics::from_records(&records, duration.as_secs_f64(), &host_names);
     GridOutcome { records, fleet }
 }
@@ -512,11 +515,11 @@ pub(crate) fn run_selfish(
     sink: &mut dyn EventSink,
 ) -> Result<GridOutcome, GridError> {
     let Stream {
-        live: mut topo,
         faults,
         mut ledger,
         duration,
     } = stream;
+    let mut topo = live_testbed(pristine, &faults)?;
     let faults_on = !faults.is_empty();
 
     // Blind agents share one pre-stream snapshot; aware agents share
@@ -650,7 +653,7 @@ pub(crate) fn run_selfish(
         records.push(record);
     }
 
-    Ok(outcome(&topo, records, duration))
+    Ok(outcome(pristine, records, duration))
 }
 
 /// Resolve host ids to their testbed names.
@@ -815,11 +818,7 @@ fn impose_host(
 
 /// Scale one host's availability by every imposition in `imps`: one
 /// batched series rebuild, however many windows.
-pub(crate) fn write_back(
-    topo: &mut Topology,
-    host: HostId,
-    imps: &[Imposition],
-) -> Result<(), GridError> {
+fn write_back(topo: &mut Topology, host: HostId, imps: &[Imposition]) -> Result<(), GridError> {
     let h = topo.host_mut(host)?;
     let scaled = h.availability().with_impositions(imps);
     h.set_availability(scaled);

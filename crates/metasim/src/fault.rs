@@ -22,6 +22,7 @@ use crate::error::SimError;
 use crate::host::HostId;
 use crate::load::{Imposition, StepSeries};
 use crate::net::{LinkId, Topology};
+use crate::simtrace::{EventSink, TraceEvent};
 use crate::time::SimTime;
 use rand::Rng;
 use rand::SeedableRng;
@@ -101,6 +102,29 @@ impl FaultSpec {
             }
         }
         Ok(())
+    }
+
+    /// Record one [`TraceEvent::HostFaultInjected`] per host fault, then
+    /// one [`TraceEvent::LinkFaultInjected`] per link fault, each in
+    /// schedule order.
+    pub fn record(&self, sink: &mut dyn EventSink) {
+        if !sink.enabled() {
+            return;
+        }
+        for f in &self.host_faults {
+            sink.record(TraceEvent::HostFaultInjected {
+                host: f.host,
+                at: f.at,
+                recover: f.recover,
+            });
+        }
+        for f in &self.link_faults {
+            sink.record(TraceEvent::LinkFaultInjected {
+                link: f.link,
+                at: f.at,
+                recover: f.recover,
+            });
+        }
     }
 }
 
@@ -241,45 +265,21 @@ impl FaultModel {
 
 /// Apply a fault schedule to a realized topology: pin each faulted
 /// resource's availability to zero over its windows and record host
-/// fault windows for revocation attribution by the executors.
+/// fault windows for revocation attribution by the executors. The
+/// schedule's trace events come from [`FaultSpec::record`], not from
+/// here: one spec is injected into each live copy a run builds.
 pub fn apply_faults(topo: &mut Topology, spec: &FaultSpec) -> Result<(), SimError> {
-    apply_faults_with_sink(topo, spec, &mut crate::simtrace::NoopSink)
-}
-
-/// [`apply_faults`], emitting one
-/// [`crate::simtrace::TraceEvent::HostFaultInjected`] /
-/// [`crate::simtrace::TraceEvent::LinkFaultInjected`] per fault window.
-pub fn apply_faults_with_sink(
-    topo: &mut Topology,
-    spec: &FaultSpec,
-    sink: &mut dyn crate::simtrace::EventSink,
-) -> Result<(), SimError> {
-    use crate::simtrace::TraceEvent;
     spec.validate(topo)?;
     for f in &spec.host_faults {
         let h = topo.host_mut(f.host)?;
         let crashed = faulted_series(h.availability(), f.at, f.recover);
         h.set_availability(crashed);
         h.add_fault_window(f.at, f.recover);
-        if sink.enabled() {
-            sink.record(TraceEvent::HostFaultInjected {
-                host: f.host,
-                at: f.at,
-                recover: f.recover,
-            });
-        }
     }
     for f in &spec.link_faults {
         let l = topo.link_mut(f.link)?;
         let dark = faulted_series(l.availability(), f.at, f.recover);
         l.set_availability(dark);
-        if sink.enabled() {
-            sink.record(TraceEvent::LinkFaultInjected {
-                link: f.link,
-                at: f.at,
-                recover: f.recover,
-            });
-        }
     }
     Ok(())
 }
@@ -396,6 +396,49 @@ mod tests {
             link_faults: vec![],
         };
         assert!(apply_faults(&mut topo, &backwards).is_err());
+    }
+
+    #[test]
+    fn record_emits_host_then_link_faults_in_schedule_order() {
+        use crate::simtrace::VecSink;
+        let spec = FaultSpec {
+            host_faults: vec![
+                HostFault {
+                    host: HostId(1),
+                    at: s(30.0),
+                    recover: None,
+                },
+                HostFault {
+                    host: HostId(0),
+                    at: s(10.0),
+                    recover: Some(s(20.0)),
+                },
+            ],
+            link_faults: vec![LinkFault {
+                link: LinkId(0),
+                at: s(5.0),
+                recover: Some(s(9.0)),
+            }],
+        };
+        let mut sink = VecSink::new();
+        spec.record(&mut sink);
+        let kinds: Vec<&str> = sink.events.iter().map(|e| e.kind()).collect();
+        assert_eq!(
+            kinds,
+            [
+                "host_fault_injected",
+                "host_fault_injected",
+                "link_fault_injected"
+            ]
+        );
+        assert_eq!(
+            sink.events[0],
+            TraceEvent::HostFaultInjected {
+                host: HostId(1),
+                at: s(30.0),
+                recover: None,
+            }
+        );
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! One way to run a job stream: the validated `GridService::run` and
 //! the free `run_regime_jobs_with_sink` are the same run path. For
 //! every scheduling regime, on the Figure-2 testbed with a host crash
-//! mid-stream, the two entry points must agree record for record,
-//! attaching a trace sink must not perturb the outcome, and the service
+//! and a link outage mid-stream, the two entry points must agree record
+//! for record, attaching a trace sink must not perturb the outcome, the
+//! trace must open with the schedule's fault windows, and the service
 //! must refuse a workload that cannot fit in memory before running it.
+//! An invalid fault schedule is refused before any event is emitted.
 //! With the whole testbed down for a while, every regime's trace must
 //! narrate each job's lifecycle exactly as its record tells it.
 
@@ -12,20 +14,30 @@ use apples_grid::{
     run_regime_jobs_with_sink, FaultInjection, GridConfig, GridError, GridService, SchedRegime,
 };
 use metasim::simtrace::{NoopSink, TraceEvent, VecSink};
-use metasim::{FaultSpec, HostFault, HostId, SimTime};
+use metasim::{FaultSpec, HostFault, HostId, LinkFault, LinkId, SimTime};
 
-/// The Figure-2 testbed with host 0 down from t = 900 s to 2 500 s,
-/// which falls inside the submission window (warm-up ends at 600 s).
+/// Host 0 down from t = 900 s to 2 500 s and link 0 dark from 1 200 s
+/// to 1 500 s, both inside the submission window (warm-up ends at
+/// 600 s).
+fn crash_schedule() -> FaultSpec {
+    FaultSpec {
+        host_faults: vec![HostFault {
+            host: HostId(0),
+            at: SimTime::from_secs(900),
+            recover: Some(SimTime::from_secs(2500)),
+        }],
+        link_faults: vec![LinkFault {
+            link: LinkId(0),
+            at: SimTime::from_secs(1200),
+            recover: Some(SimTime::from_secs(1500)),
+        }],
+    }
+}
+
+/// The Figure-2 testbed under [`crash_schedule`].
 fn crashing_grid() -> GridConfig {
     GridConfig {
-        faults: FaultInjection::Spec(FaultSpec {
-            host_faults: vec![HostFault {
-                host: HostId(0),
-                at: SimTime::from_secs(900),
-                recover: Some(SimTime::from_secs(2500)),
-            }],
-            link_faults: Vec::new(),
-        }),
+        faults: FaultInjection::Spec(crash_schedule()),
         ..GridConfig::default()
     }
 }
@@ -101,6 +113,114 @@ fn attaching_a_sink_leaves_every_regime_unchanged() {
             completed, traced.fleet.jobs_completed,
             "{regime}: trace and outcome disagree on completions"
         );
+    }
+}
+
+/// Every regime's trace carries the schedule's fault windows, host
+/// faults then link faults, each in schedule order, before the first
+/// job is submitted.
+#[test]
+fn fault_events_match_the_schedule_and_precede_submissions_in_every_regime() {
+    let spec = crash_schedule();
+    let want: Vec<TraceEvent> = spec
+        .host_faults
+        .iter()
+        .map(|f| TraceEvent::HostFaultInjected {
+            host: f.host,
+            at: f.at,
+            recover: f.recover,
+        })
+        .chain(
+            spec.link_faults
+                .iter()
+                .map(|f| TraceEvent::LinkFaultInjected {
+                    link: f.link,
+                    at: f.at,
+                    recover: f.recover,
+                }),
+        )
+        .collect();
+    let svc = GridService::new(crashing_grid()).expect("valid config");
+    let w = workload();
+    for regime in SchedRegime::ALL {
+        let mut sink = VecSink::new();
+        svc.run(regime, &w, &mut sink).expect("faulted run");
+        let is_fault = |e: &TraceEvent| {
+            matches!(
+                e,
+                TraceEvent::HostFaultInjected { .. } | TraceEvent::LinkFaultInjected { .. }
+            )
+        };
+        let got: Vec<TraceEvent> = sink
+            .events
+            .iter()
+            .filter(|e| is_fault(e))
+            .cloned()
+            .collect();
+        assert_eq!(got, want, "{regime}: fault events differ from the schedule");
+        let first_submit = sink
+            .events
+            .iter()
+            .position(|e| matches!(e, TraceEvent::JobSubmitted { .. }))
+            .expect("a job was submitted");
+        let last_fault = sink.events.iter().rposition(is_fault).expect("faults");
+        assert!(
+            last_fault < first_submit,
+            "{regime}: a fault event follows the first submission"
+        );
+    }
+}
+
+/// A schedule naming an unknown host, or a window that recovers no
+/// later than it starts, is refused by the unvalidated entry point too
+/// — including under fractional sharing, which never applies the
+/// schedule to a testbed — and the refused run emits nothing.
+#[test]
+fn invalid_fault_schedule_is_refused_without_events_in_every_regime() {
+    let at = SimTime::from_secs(900);
+    let bad = [
+        FaultSpec {
+            host_faults: vec![HostFault {
+                host: HostId(99),
+                at,
+                recover: None,
+            }],
+            link_faults: Vec::new(),
+        },
+        FaultSpec {
+            host_faults: vec![HostFault {
+                host: HostId(0),
+                at,
+                recover: Some(at),
+            }],
+            link_faults: Vec::new(),
+        },
+        FaultSpec {
+            host_faults: Vec::new(),
+            link_faults: vec![LinkFault {
+                link: LinkId(0),
+                at,
+                recover: Some(SimTime::from_secs(800)),
+            }],
+        },
+    ];
+    let w = workload();
+    let jobs = w.realize();
+    for (i, spec) in bad.into_iter().enumerate() {
+        let cfg = GridConfig {
+            faults: FaultInjection::Spec(spec),
+            ..GridConfig::default()
+        };
+        for regime in SchedRegime::ALL {
+            let mut sink = VecSink::new();
+            let res =
+                run_regime_jobs_with_sink(&cfg, regime, &jobs, w.duration, w.retry, &mut sink);
+            assert!(res.is_err(), "{regime}: invalid schedule {i} was run");
+            assert!(
+                sink.events.is_empty(),
+                "{regime}: refused schedule {i} emitted events"
+            );
+        }
     }
 }
 
