@@ -11,7 +11,7 @@ fn bench_fig5(c: &mut Criterion) {
     g.sample_size(10);
     for &n in &[1000usize, 2000] {
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| black_box(run_trial(black_box(n), 20, 1996, LoadProfile::Moderate)));
+            b.iter(|| black_box(run_trial(black_box(n), 20, 1996, LoadProfile::Moderate).unwrap()));
         });
     }
     g.finish();

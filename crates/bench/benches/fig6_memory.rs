@@ -10,7 +10,7 @@ fn bench_fig6(c: &mut Criterion) {
     g.sample_size(10);
     for &n in &[3000usize, 4000] {
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| black_box(run_trial(black_box(n), 10, 1996)));
+            b.iter(|| black_box(run_trial(black_box(n), 10, 1996).unwrap()));
         });
     }
     g.finish();

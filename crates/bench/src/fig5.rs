@@ -127,26 +127,31 @@ pub fn jobs(tb: &Testbed, n: usize, iterations: usize) -> Result<Fig5Jobs, Apple
 }
 
 /// Run one back-to-back trial at grid size `n`.
-pub fn run_trial(n: usize, iterations: usize, seed: u64, profile: LoadProfile) -> TrialResult {
-    let tb = testbed(seed, profile).expect("testbed");
-    let trial = jobs(&tb, n, iterations).expect("figure 5 plans");
-    let [apples_s, strip_s, blocked_s] = trial.makespans(&tb.topo).expect("figure 5 runs");
+pub fn run_trial(
+    n: usize,
+    iterations: usize,
+    seed: u64,
+    profile: LoadProfile,
+) -> Result<TrialResult, ApplesError> {
+    let tb = testbed(seed, profile)?;
+    let trial = jobs(&tb, n, iterations)?;
+    let [apples_s, strip_s, blocked_s] = trial.makespans(&tb.topo)?;
     let apples_fractions = trial
         .apples
         .parts
         .iter()
         .map(|p| {
-            let name = tb.topo.host(p.host).expect("host").spec.name.clone();
-            (name, p.rows as f64 / n as f64)
+            let name = tb.topo.host(p.host)?.spec.name.clone();
+            Ok((name, p.rows as f64 / n as f64))
         })
-        .collect();
+        .collect::<Result<_, SimError>>()?;
 
-    TrialResult {
+    Ok(TrialResult {
         apples_s,
         strip_s,
         blocked_s,
         apples_fractions,
-    }
+    })
 }
 
 /// One averaged row of Figure 5.
@@ -176,32 +181,19 @@ impl Fig5Row {
 
 /// Run the full Figure 5 sweep. Trials are independent (each has its
 /// own testbed realization), so they fan out across threads.
-pub fn run(cfg: &Fig5Config) -> Vec<Fig5Row> {
+pub fn run(cfg: &Fig5Config) -> Result<Vec<Fig5Row>, ApplesError> {
     cfg.sizes
         .iter()
         .map(|&n| {
-            let trials: Vec<TrialResult> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..cfg.trials)
-                    .map(|i| {
-                        let seed = cfg.base_seed + i as u64;
-                        scope.spawn(move |_| run_trial(n, cfg.iterations, seed, cfg.profile))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("trial thread"))
-                    .collect()
-            })
-            .expect("trial scope");
-            let apples: Vec<f64> = trials.iter().map(|r| r.apples_s).collect();
-            let strip: Vec<f64> = trials.iter().map(|r| r.strip_s).collect();
-            let blocked: Vec<f64> = trials.iter().map(|r| r.blocked_s).collect();
-            Fig5Row {
+            let trials = crate::fan_out(cfg.trials, cfg.base_seed, |seed| {
+                run_trial(n, cfg.iterations, seed, cfg.profile)
+            })?;
+            Ok(Fig5Row {
                 n,
-                apples: Stats::from_samples(&apples).expect("trials"),
-                strip: Stats::from_samples(&strip).expect("trials"),
-                blocked: Stats::from_samples(&blocked).expect("trials"),
-            }
+                apples: crate::stats(&trials, |r| r.apples_s)?,
+                strip: crate::stats(&trials, |r| r.strip_s)?,
+                blocked: crate::stats(&trials, |r| r.blocked_s)?,
+            })
         })
         .collect()
 }
@@ -214,7 +206,7 @@ mod tests {
     fn apples_beats_both_static_partitions() {
         // A reduced-size trial (fewer iterations, one seed) must still
         // show the Figure 5 ordering.
-        let r = run_trial(1000, 30, 42, LoadProfile::Moderate);
+        let r = run_trial(1000, 30, 42, LoadProfile::Moderate).unwrap();
         assert!(
             r.apples_s < r.strip_s,
             "apples {} vs strip {}",
@@ -231,15 +223,25 @@ mod tests {
 
     #[test]
     fn apples_fractions_are_a_partition() {
-        let r = run_trial(1000, 10, 7, LoadProfile::Moderate);
+        let r = run_trial(1000, 10, 7, LoadProfile::Moderate).unwrap();
         let total: f64 = r.apples_fractions.iter().map(|&(_, f)| f).sum();
         assert!((total - 1.0).abs() < 1e-9);
     }
 
     #[test]
+    fn a_sweep_without_trials_is_an_error() {
+        let cfg = Fig5Config {
+            sizes: vec![1000],
+            trials: 0,
+            ..Fig5Config::default()
+        };
+        assert!(run(&cfg).is_err());
+    }
+
+    #[test]
     fn trials_are_deterministic_per_seed() {
-        let a = run_trial(1000, 10, 9, LoadProfile::Moderate);
-        let b = run_trial(1000, 10, 9, LoadProfile::Moderate);
+        let a = run_trial(1000, 10, 9, LoadProfile::Moderate).unwrap();
+        let b = run_trial(1000, 10, 9, LoadProfile::Moderate).unwrap();
         assert_eq!(a, b);
     }
 }

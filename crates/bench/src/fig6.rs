@@ -11,13 +11,14 @@
 //! spills from memory causing a dramatic reduction in performance."
 
 use apples::info::InfoPool;
+use apples::ApplesError;
 use apples_apps::jacobi2d::partition::jacobi_context;
 use apples_apps::jacobi2d::{apples_stencil_schedule, blocked_uniform};
 use metasim::exec::simulate_spmd;
 use metasim::simtrace::NoopSink;
 use metasim::testbed::{pcl_sdsc, LoadProfile, TestbedConfig};
 use metasim::trace::Stats;
-use metasim::SimTime;
+use metasim::{SimError, SimTime};
 use nws::{WeatherService, WeatherServiceConfig};
 
 /// NWS warm-up before the scheduling decision.
@@ -59,7 +60,7 @@ pub struct Fig6Trial {
 }
 
 /// Run one trial at grid size `n`.
-pub fn run_trial(n: usize, iterations: usize, seed: u64) -> Fig6Trial {
+pub fn run_trial(n: usize, iterations: usize, seed: u64) -> Result<Fig6Trial, ApplesError> {
     // Heavy workstation contention: the SP-2 nodes are the only quiet
     // resources, matching the Figure 6 setup.
     let tb = pcl_sdsc(&TestbedConfig {
@@ -67,42 +68,43 @@ pub fn run_trial(n: usize, iterations: usize, seed: u64) -> Fig6Trial {
         horizon: SimTime::from_secs(400_000),
         seed,
         with_sp2: true,
-    })
-    .expect("testbed");
-    let sp2 = tb.sp2.expect("sp2 nodes");
+    })?;
+    let sp2 = tb
+        .sp2
+        .ok_or_else(|| ApplesError::Invalid("the Figure 6 testbed has no SP-2 nodes".into()))?;
     let (hat, user) = jacobi_context(n, iterations);
-    let t = hat.as_stencil().expect("stencil HAT");
+    let t = hat
+        .as_stencil()
+        .ok_or_else(|| ApplesError::Invalid("Jacobi2D HAT is not a stencil".into()))?;
 
     let mut ws = WeatherService::for_topology(&tb.topo, WeatherServiceConfig::default());
     ws.advance(&tb.topo, WARMUP);
 
     // AppLeS over the whole pool.
     let pool = InfoPool::with_nws(&tb.topo, &ws, &hat, &user, WARMUP);
-    let apples_sched = apples_stencil_schedule(&pool).expect("apples plan");
+    let apples_sched = apples_stencil_schedule(&pool)?;
     let apples_out = simulate_spmd(
         &tb.topo,
         &apples_sched.to_spmd_job(t, WARMUP),
         &mut NoopSink,
-    )
-    .expect("apples run");
+    )?;
 
     // Blocked on the SP-2 alone: the natural compile-time choice for a
     // user who knows the SP-2 is fast and idle.
     let blocked = blocked_uniform(n, iterations, &sp2);
-    let blocked_out = simulate_spmd(&tb.topo, &blocked.to_spmd_job(t, WARMUP), &mut NoopSink)
-        .expect("blocked run");
+    let blocked_out = simulate_spmd(&tb.topo, &blocked.to_spmd_job(t, WARMUP), &mut NoopSink)?;
 
     let apples_hosts = apples_sched
         .parts
         .iter()
-        .map(|p| tb.topo.host(p.host).expect("host").spec.name.clone())
-        .collect();
+        .map(|p| Ok(tb.topo.host(p.host)?.spec.name.clone()))
+        .collect::<Result<_, SimError>>()?;
 
-    Fig6Trial {
+    Ok(Fig6Trial {
         apples_s: apples_out.makespan(WARMUP).as_secs_f64(),
         blocked_sp2_s: blocked_out.makespan(WARMUP).as_secs_f64(),
         apples_hosts,
-    }
+    })
 }
 
 /// One averaged row of Figure 6.
@@ -119,31 +121,19 @@ pub struct Fig6Row {
 }
 
 /// Run the full Figure 6 sweep. Trials fan out across threads.
-pub fn run(cfg: &Fig6Config) -> Vec<Fig6Row> {
+pub fn run(cfg: &Fig6Config) -> Result<Vec<Fig6Row>, ApplesError> {
     cfg.sizes
         .iter()
         .map(|&n| {
-            let trials: Vec<Fig6Trial> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..cfg.trials)
-                    .map(|i| {
-                        let seed = cfg.base_seed + i as u64;
-                        scope.spawn(move |_| run_trial(n, cfg.iterations, seed))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("trial thread"))
-                    .collect()
-            })
-            .expect("trial scope");
-            let apples: Vec<f64> = trials.iter().map(|r| r.apples_s).collect();
-            let blocked: Vec<f64> = trials.iter().map(|r| r.blocked_sp2_s).collect();
-            Fig6Row {
+            let trials = crate::fan_out(cfg.trials, cfg.base_seed, |seed| {
+                run_trial(n, cfg.iterations, seed)
+            })?;
+            Ok(Fig6Row {
                 n,
-                apples: Stats::from_samples(&apples).expect("trials"),
-                blocked_sp2: Stats::from_samples(&blocked).expect("trials"),
+                apples: crate::stats(&trials, |r| r.apples_s)?,
+                blocked_sp2: crate::stats(&trials, |r| r.blocked_sp2_s)?,
                 apples_hosts: trials[0].apples_hosts.clone(),
-            }
+            })
         })
         .collect()
 }
@@ -154,7 +144,7 @@ mod tests {
 
     #[test]
     fn below_spill_point_both_behave() {
-        let r = run_trial(2000, 10, 3);
+        let r = run_trial(2000, 10, 3).unwrap();
         // Below 3700 the blocked SP-2 partition fits in memory and is
         // competitive: AppLeS must not be dramatically slower.
         assert!(
@@ -167,7 +157,7 @@ mod tests {
 
     #[test]
     fn beyond_spill_point_blocked_falls_off_a_cliff() {
-        let r = run_trial(4500, 10, 3);
+        let r = run_trial(4500, 10, 3).unwrap();
         assert!(
             r.blocked_sp2_s > 3.0 * r.apples_s,
             "expected a paging cliff: apples {} vs blocked {}",
@@ -178,8 +168,8 @@ mod tests {
 
     #[test]
     fn apples_recruits_extra_memory_beyond_the_spill_point() {
-        let small = run_trial(2000, 5, 3);
-        let large = run_trial(4500, 5, 3);
+        let small = run_trial(2000, 5, 3).unwrap();
+        let large = run_trial(4500, 5, 3).unwrap();
         // Below the spill point the SP-2 pair suffices; beyond it the
         // schedule must widen beyond two hosts.
         assert!(small.apples_hosts.len() <= large.apples_hosts.len());

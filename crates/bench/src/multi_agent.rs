@@ -35,7 +35,7 @@
 
 use apples_grid::service::GridConfig;
 use apples_grid::workload::{JobKind, JobSpec, RetryPolicy};
-use apples_grid::{run_regime_jobs_with_sink, SchedRegime};
+use apples_grid::{run_regime_jobs_with_sink, GridError, SchedRegime};
 use metasim::simtrace::NoopSink;
 use metasim::SimTime;
 
@@ -63,7 +63,7 @@ pub fn run_staged(
     seed: u64,
     gap: SimTime,
     regime: Regime,
-) -> Vec<AgentOutcome> {
+) -> Result<Vec<AgentOutcome>, GridError> {
     let jobs: Vec<JobSpec> = iterations_per_agent
         .iter()
         .enumerate()
@@ -86,9 +86,8 @@ pub fn run_staged(
         duration,
         RetryPolicy::default(),
         &mut NoopSink,
-    )
-    .expect("staged stream");
-    outcome
+    )?;
+    Ok(outcome
         .records
         .into_iter()
         .map(|r| AgentOutcome {
@@ -97,12 +96,7 @@ pub fn run_staged(
             hosts: r.hosts,
             elapsed: r.exec_seconds,
         })
-        .collect()
-}
-
-/// Mean elapsed seconds across the staged agents.
-pub fn mean_elapsed(outcomes: &[AgentOutcome]) -> f64 {
-    outcomes.iter().map(|o| o.elapsed).sum::<f64>() / outcomes.len() as f64
+        .collect())
 }
 
 #[cfg(test)]
@@ -115,8 +109,8 @@ mod tests {
     #[test]
     fn aware_probe_beats_blind_probe() {
         let gap = SimTime::from_secs(60);
-        let aware = run_staged(1200, PROBE_MIX, 77, gap, Regime::Aware);
-        let blind = run_staged(1200, PROBE_MIX, 77, gap, Regime::Blind);
+        let aware = run_staged(1200, PROBE_MIX, 77, gap, Regime::Aware).unwrap();
+        let blind = run_staged(1200, PROBE_MIX, 77, gap, Regime::Blind).unwrap();
         // The first agent is identical either way.
         assert!((aware[0].elapsed - blind[0].elapsed).abs() < 1e-6);
         // The probe (last agent) lands mid-contention: awareness must
@@ -132,7 +126,7 @@ mod tests {
     #[test]
     fn aware_probe_routes_around_the_long_jobs() {
         let gap = SimTime::from_secs(60);
-        let aware = run_staged(1200, PROBE_MIX, 78, gap, Regime::Aware);
+        let aware = run_staged(1200, PROBE_MIX, 78, gap, Regime::Aware).unwrap();
         let set = |hosts: &[String]| {
             let mut v = hosts.to_vec();
             v.sort();
@@ -149,8 +143,8 @@ mod tests {
     #[test]
     fn staging_is_deterministic() {
         let gap = SimTime::from_secs(300);
-        let a = run_staged(1000, &[30, 30], 9, gap, Regime::Aware);
-        let b = run_staged(1000, &[30, 30], 9, gap, Regime::Aware);
+        let a = run_staged(1000, &[30, 30], 9, gap, Regime::Aware).unwrap();
+        let b = run_staged(1000, &[30, 30], 9, gap, Regime::Aware).unwrap();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.elapsed, y.elapsed);

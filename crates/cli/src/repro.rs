@@ -229,7 +229,7 @@ fn fig3(_: &Parsed) -> CmdResult {
     let n = 2000;
     outln!("Figure 3: AppLeS partitioning of Jacobi2D (n = {n})\n");
     for seed in [1996u64, 1997, 1998] {
-        let trial = fig5::run_trial(n, 50, seed, LoadProfile::Moderate);
+        let trial = fig5::run_trial(n, 50, seed, LoadProfile::Moderate)?;
         outln!("load realization (seed {seed}):");
         let rows: Vec<Vec<String>> = trial
             .apples_fractions
@@ -298,7 +298,7 @@ fn fig5(p: &Parsed) -> CmdResult {
         Fig5Config::default()
     };
 
-    let rows = fig5::run(&cfg);
+    let rows = fig5::run(&cfg)?;
     if p.switch("csv") {
         outln!("n,apples_s,strip_s,blocked_s,strip_ratio,blocked_ratio");
         for r in &rows {
@@ -370,7 +370,7 @@ fn fig6(p: &Parsed) -> CmdResult {
         Fig6Config::default()
     };
 
-    let rows = fig6::run(&cfg);
+    let rows = fig6::run(&cfg)?;
     if p.switch("csv") {
         outln!("n,apples_s,blocked_sp2_s,ratio,apples_hosts");
         for r in &rows {
@@ -870,7 +870,7 @@ fn t_multi(_: &Parsed) -> CmdResult {
         gap.as_secs_f64()
     );
     for (regime, label) in [(Regime::Blind, "blind"), (Regime::Aware, "aware")] {
-        let outcomes = multi_agent::run_staged(n, mix, 1996, gap, regime);
+        let outcomes = multi_agent::run_staged(n, mix, 1996, gap, regime)?;
         outln!(
             "{label}: each agent decides {}",
             match regime {
@@ -1233,7 +1233,7 @@ fn all(_: &Parsed) -> CmdResult {
 
     // FIG5: AppLeS beats Strip and Blocked.
     {
-        let r = fig5::run_trial(1200, 40, 1996, LoadProfile::Moderate);
+        let r = fig5::run_trial(1200, 40, 1996, LoadProfile::Moderate)?;
         let strip_ratio = r.strip_s / r.apples_s;
         let blocked_ratio = r.blocked_s / r.apples_s;
         checks.push(Check {
@@ -1246,8 +1246,8 @@ fn all(_: &Parsed) -> CmdResult {
 
     // FIG6: paging cliff past 3700^2; AppLeS smooth.
     {
-        let below = fig6::run_trial(3000, 10, 1996);
-        let above = fig6::run_trial(4200, 10, 1996);
+        let below = fig6::run_trial(3000, 10, 1996)?;
+        let above = fig6::run_trial(4200, 10, 1996)?;
         checks.push(Check {
             name: "FIG6",
             claim: "Blocked(SP-2) cliffs past 3700^2, AppLeS does not",
@@ -1325,8 +1325,8 @@ fn all(_: &Parsed) -> CmdResult {
     {
         let gap = SimTime::from_secs(60);
         let mix: &[usize] = &[4000, 4000, 300];
-        let aware = multi_agent::run_staged(1200, mix, 77, gap, multi_agent::Regime::Aware);
-        let blind = multi_agent::run_staged(1200, mix, 77, gap, multi_agent::Regime::Blind);
+        let aware = multi_agent::run_staged(1200, mix, 77, gap, multi_agent::Regime::Aware)?;
+        let blind = multi_agent::run_staged(1200, mix, 77, gap, multi_agent::Regime::Blind)?;
         let (ap, bp) = match (aware.last(), blind.last()) {
             (Some(a), Some(b)) => (a.elapsed, b.elapsed),
             _ => return Err("T-MULTI: no agent ran".into()),

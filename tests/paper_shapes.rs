@@ -20,7 +20,7 @@ fn fig5_apples_beats_static_partitions_by_2x_plus() {
         base_seed: 1996,
         profile: LoadProfile::Moderate,
     };
-    let rows = fig5::run(&cfg);
+    let rows = fig5::run(&cfg).unwrap();
     let r = &rows[0];
     assert!(
         r.strip_ratio() > 1.5,
@@ -38,8 +38,8 @@ fn fig5_apples_beats_static_partitions_by_2x_plus() {
 
 #[test]
 fn fig6_blocked_cliff_and_apples_continuity() {
-    let below = fig6::run_trial(3000, 10, 1996);
-    let above = fig6::run_trial(4200, 10, 1996);
+    let below = fig6::run_trial(3000, 10, 1996).unwrap();
+    let above = fig6::run_trial(4200, 10, 1996).unwrap();
     // Blocked on SP-2: fine below, cliff above.
     assert!(below.blocked_sp2_s < 2.0 * below.apples_s);
     assert!(above.blocked_sp2_s > 3.0 * above.apples_s);
